@@ -186,6 +186,17 @@ grep -q "magis_core_expansions" "$OBS_DIR/metrics.txt" \
     || { echo "metrics snapshot is missing core counters"; exit 1; }
 rm -rf "$OBS_DIR"
 
+# Benchmark smoke: the greedy-conv workload runs its search on 2
+# threads over DP windows of more than 256 nodes, so it exercises both
+# the fan-out's claim gate and the wide-key DP. Every result it checks
+# must be correct.
+echo
+echo "==> perfbench greedy-conv smoke"
+BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload greedy-conv --seed 1 --seconds 1 --trace 0)"
+tail -1 <<<"$BENCH_OUT" | grep -q '"correct":true' \
+    || { echo "$BENCH_OUT"; echo "perfbench greedy-conv reported incorrect results"; exit 1; }
+
 # Overhead guard: with tracing disabled, the always-on instrumentation
 # must stay within 5% (+ noise floor) of a fully suppressed run.
 run ./target/release/obs_overhead --check --out "$(mktemp -d)"

@@ -96,6 +96,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -748,11 +749,6 @@ impl Ord for QueueEntry {
 /// workers (possibly out of order), consumed by the merge strictly in
 /// candidate order.
 enum CandOutcome {
-    /// The wall-clock budget expired (or the serial eval cap was hit)
-    /// before this candidate ran. The merge discards everything from
-    /// the first such marker on, keeping the consumed prefix
-    /// contiguous.
-    Skipped,
     /// Apply or incremental evaluation failed; the candidate is
     /// dropped.
     Failed { trans: Duration, sched_sim: Duration },
@@ -846,11 +842,12 @@ fn evaluate_candidate(
     paranoia: ParanoiaLevel,
 ) -> CandOutcome {
     // Observability is suppressed for the whole evaluation — on worker
-    // threads AND on the inline path — because parallel workers may
-    // over-evaluate past the `max_evals` cap (the merge discards the
-    // excess). Anything the sim/sched layers would record here would
-    // therefore differ across thread counts. The merge re-attributes
-    // the measured durations on the coordinating thread instead.
+    // threads AND on the inline path — because candidates already in
+    // flight when the fan-out's claim gate closes may run past the
+    // `max_evals` cap (the merge discards them). Anything the
+    // sim/sched layers would record here would therefore differ across
+    // thread counts. The merge re-attributes the measured durations on
+    // the coordinating thread instead.
     magis_obs::gate::suppress(|| {
         let t0 = Instant::now();
         // AssertUnwindSafe: the closure only reads `state`/`ctx`/`cache`
@@ -1353,43 +1350,37 @@ impl<'a> Engine<'a> {
         // workers see identical contents regardless of thread count or
         // completion order; insertions happen below, at the merge.
         let eval_cache = &self.eval_cache;
+        let eval = |i: usize, t: &Transform| {
+            evaluate_candidate(state, t, &cfg.ctx, eval_cache, fault_for(i), cfg.paranoia)
+        };
         let outcomes: Vec<(usize, CandOutcome)> = if let Some(i) = only {
             // Single-candidate path (rollouts): always inline on the
             // driver thread, whatever the thread count.
-            let o = if stop_now().is_some() || remaining == 0 {
-                CandOutcome::Skipped
+            if stop_now().is_some() || remaining == 0 {
+                Vec::new()
             } else {
-                evaluate_candidate(state, &candidates[i], &cfg.ctx, eval_cache, fault_for(i), cfg.paranoia)
-            };
-            vec![(i, o)]
-        } else if self.threads > 1 {
-            parallel::par_map(self.threads, candidates, |i, t| {
-                if stop_now().is_some() {
-                    CandOutcome::Skipped
-                } else {
-                    evaluate_candidate(state, t, &cfg.ctx, eval_cache, fault_for(i), cfg.paranoia)
+                vec![(i, eval(i, &candidates[i]))]
+            }
+        } else {
+            // Workers stop claiming candidates once the budget expires
+            // or `remaining` have come back evaluated. Claims go in
+            // candidate order, so the returned prefix holds every
+            // candidate the merge below consumes; only the candidates
+            // already in flight when the gate closes run past the cap.
+            // The count publishes no data (results come back through
+            // the join), so relaxed ordering suffices.
+            let evaluated = AtomicUsize::new(0);
+            let claim = || stop_now().is_none() && evaluated.load(AtomicOrdering::Relaxed) < remaining;
+            parallel::par_map(self.threads, candidates, claim, |i, t| {
+                let o = eval(i, t);
+                if matches!(o, CandOutcome::Evaluated { .. }) {
+                    evaluated.fetch_add(1, AtomicOrdering::Relaxed);
                 }
+                o
             })
             .into_iter()
             .enumerate()
             .collect()
-        } else {
-            // Inline path: identical semantics, but the eval cap can
-            // stop work early instead of discarding results at merge.
-            let mut out = Vec::with_capacity(candidates.len());
-            let mut done = 0usize;
-            for (i, t) in candidates.iter().enumerate() {
-                if stop_now().is_some() || done >= remaining {
-                    out.push(CandOutcome::Skipped);
-                    break;
-                }
-                let o = evaluate_candidate(state, t, &cfg.ctx, eval_cache, fault_for(i), cfg.paranoia);
-                if matches!(o, CandOutcome::Evaluated { .. }) {
-                    done += 1;
-                }
-                out.push(o);
-            }
-            out.into_iter().enumerate().collect()
         };
         self.stats.eval_wall_time += t_wall.elapsed();
 
@@ -1400,14 +1391,12 @@ impl<'a> Engine<'a> {
         let parent_cost = state.cost();
         let mut merged = 0usize;
         for (i, o) in outcomes {
-            if matches!(o, CandOutcome::Skipped) {
-                break;
-            }
             if merged >= remaining {
-                // Workers may over-evaluate past the cap; the merge
-                // discards the excess — of *every* outcome kind, so
-                // counters and quarantine strikes match `threads == 1`,
-                // where post-cap candidates never run at all.
+                // Candidates in flight when the claim gate closed may
+                // run past the cap; the merge discards them — of
+                // *every* outcome kind, so counters and quarantine
+                // strikes match `threads == 1`, where post-cap
+                // candidates never run at all.
                 break;
             }
             let family = candidates[i].sort_key().0;
@@ -1446,7 +1435,6 @@ impl<'a> Engine<'a> {
                 f.eval_time_us += dur.as_micros() as u64;
             };
             match o {
-                CandOutcome::Skipped => unreachable!("handled above"),
                 CandOutcome::Failed { trans, sched_sim } => {
                     self.stats.trans_time += trans;
                     self.stats.sched_sim_time += sched_sim;

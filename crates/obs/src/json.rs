@@ -16,6 +16,12 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Deeper
+/// input is rejected with a [`JsonError`] instead of recursing until
+/// the stack overflows, so an untrusted byte stream cannot abort the
+/// process.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed or to-be-serialized JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -130,7 +136,7 @@ impl Json {
     /// Returns a [`JsonError`] with the byte offset of the first
     /// defect.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -206,6 +212,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -247,12 +255,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -448,6 +468,19 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "nul", "1x", "{}z", "\"\\u12\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let deeper = format!("[{at_limit}]");
+        assert_eq!(Json::parse(&deeper).unwrap_err().pos, MAX_DEPTH);
+        // Far past any stack: an error, not an abort.
+        assert!(Json::parse(&"[".repeat(400_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

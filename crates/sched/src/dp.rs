@@ -9,9 +9,16 @@
 //! to survive — that is the DP. When the number of states at a level
 //! exceeds the beam width, the worst states are dropped (quality knob
 //! D6 in DESIGN.md).
+//!
+//! There is one DP, generic over the executed-set key (`NodeSet`).
+//! Windows of up to 512 nodes use a stack array of `⌈n/64⌉` words;
+//! that covers every incremental reschedule and fissioned CNN window
+//! seen at bench scale (up to ~310 nodes on UNet/UNet++). Larger
+//! windows use a heap word slice. Both keys order lexicographically by
+//! word, so a window's order, peak and state count do not depend on
+//! which key it gets.
 
 use crate::task::SchedTask;
-use std::collections::BTreeMap;
 
 /// Tuning for the DP/beam scheduler.
 #[derive(Debug, Clone)]
@@ -41,32 +48,6 @@ impl SchedConfig {
     }
 }
 
-/// A surviving DP state: its executed-set key plus running memory
-/// figures. The schedule itself is *not* stored per state — each state
-/// records only the arena index of its `(parent, last-node)` link, and
-/// the winning order is reconstructed by walking parents at the end.
-/// This keeps a transition O(degree) instead of O(window).
-struct LevelState {
-    executed: Vec<u64>,
-    mem: u64,
-    peak: u64,
-    /// Index into the parent-link arena (`u32::MAX` for the root).
-    link: u32,
-}
-
-/// Candidate value inside a level's dedup map, before truncation.
-struct Cand {
-    peak: u64,
-    mem: u64,
-    parent: u32,
-    last: u32,
-}
-
-#[inline]
-fn bit(words: &[u64], i: usize) -> bool {
-    (words[i / 64] >> (i % 64)) & 1 == 1
-}
-
 /// Result of [`dp_schedule`].
 #[derive(Debug, Clone)]
 pub struct DpResult {
@@ -90,108 +71,21 @@ pub fn dp_schedule(task: &SchedTask<'_>, cfg: &SchedConfig) -> DpResult {
     let start = std::time::Instant::now();
     let mut span = magis_obs::span!("magis_sched", "dp_schedule", window = n);
     let width = cfg.effective_width(n);
-    // Windows of ≤256 nodes — every incremental reschedule and most
-    // whole-model windows at bench scale — run on fixed-width bitset
-    // fast paths whose keys live on the stack; larger windows fall back
-    // to word-vector keys below.
-    let fixed = match n {
-        0..=64 => Some(dp_fixed::<1>(task, width)),
-        65..=128 => Some(dp_fixed::<2>(task, width)),
-        129..=192 => Some(dp_fixed::<3>(task, width)),
-        193..=256 => Some(dp_fixed::<4>(task, width)),
-        _ => None,
+    let (order, peak, expanded) = match n.div_ceil(64) {
+        1 => dp::<[u64; 1]>(task, width, 1),
+        2 => dp::<[u64; 2]>(task, width, 2),
+        3 => dp::<[u64; 3]>(task, width, 3),
+        4 => dp::<[u64; 4]>(task, width, 4),
+        5 => dp::<[u64; 5]>(task, width, 5),
+        6 => dp::<[u64; 6]>(task, width, 6),
+        7 => dp::<[u64; 7]>(task, width, 7),
+        8 => dp::<[u64; 8]>(task, width, 8),
+        words => dp::<Box<[u64]>>(task, width, words),
     };
-    if let Some((order, peak, expanded)) = fixed {
-        span.record("states_expanded", expanded);
-        span.record("peak_bytes", peak);
-        record_obs(expanded, start);
-        return DpResult { order, peak, states_expanded: expanded };
-    }
-    let words = n.div_ceil(64);
-    // Parent-link arena: one `(parent, last)` entry per state that
-    // survives a level's truncation.
-    let mut arena: Vec<(u32, u32)> = Vec::new();
-    let mut level: Vec<LevelState> =
-        vec![LevelState { executed: vec![0; words], mem: task.base, peak: task.base, link: u32::MAX }];
-    let mut scratch = vec![0u64; words];
-    let mut expanded = 0usize;
-    for _ in 0..n {
-        // Keyed by the executed bitset. A BTreeMap (not HashMap) so
-        // that level iteration order — and therefore beam truncation
-        // and final tie-breaks among equal-(peak, mem) states — is
-        // deterministic across runs, processes, and thread counts.
-        let mut next: BTreeMap<Vec<u64>, Cand> = BTreeMap::new();
-        for st in &level {
-            for v in 0..n {
-                if bit(&st.executed, v)
-                    || !task.preds[v].iter().all(|&p| bit(&st.executed, p))
-                {
-                    continue;
-                }
-                expanded += 1;
-                // Probe with a scratch key: the key Vec is only cloned
-                // when the state is genuinely new.
-                scratch.copy_from_slice(&st.executed);
-                scratch[v / 64] |= 1 << (v % 64);
-                let mut mem = st.mem;
-                for &ri in &task.allocs[v] {
-                    mem += task.roots[ri].bytes;
-                }
-                let peak = st.peak.max(mem);
-                // Free roots whose final user just executed.
-                for &ri in &task.uses[v] {
-                    let r = &task.roots[ri];
-                    if r.freeable && r.users.iter().all(|&u| bit(&scratch, u)) {
-                        mem -= r.bytes;
-                    }
-                }
-                match next.get_mut(&scratch[..]) {
-                    Some(prev) => {
-                        if (peak, mem) < (prev.peak, prev.mem) {
-                            *prev = Cand { peak, mem, parent: st.link, last: v as u32 };
-                        }
-                    }
-                    None => {
-                        next.insert(
-                            scratch.clone(),
-                            Cand { peak, mem, parent: st.link, last: v as u32 },
-                        );
-                    }
-                }
-            }
-        }
-        let mut states: Vec<(Vec<u64>, Cand)> = next.into_iter().collect();
-        if states.len() > width {
-            states.sort_by_key(|(_, c)| (c.peak, c.mem));
-            states.truncate(width);
-        }
-        debug_assert!(!states.is_empty(), "DAG window must always have a ready node");
-        level = states
-            .into_iter()
-            .map(|(executed, c)| {
-                let link = arena.len() as u32;
-                arena.push((c.parent, c.last));
-                LevelState { executed, mem: c.mem, peak: c.peak, link }
-            })
-            .collect();
-    }
-    let best = level
-        .iter()
-        .min_by_key(|s| (s.peak, s.mem))
-        .expect("at least one complete schedule");
-    // Reconstruct the winning order by walking the parent chain.
-    let mut order = Vec::with_capacity(n);
-    let mut cur = best.link;
-    while cur != u32::MAX {
-        let (parent, last) = arena[cur as usize];
-        order.push(last as usize);
-        cur = parent;
-    }
-    order.reverse();
     span.record("states_expanded", expanded);
-    span.record("peak_bytes", best.peak);
+    span.record("peak_bytes", peak);
     record_obs(expanded, start);
-    DpResult { order, peak: best.peak, states_expanded: expanded }
+    DpResult { order, peak, states_expanded: expanded }
 }
 
 fn record_obs(expanded: usize, start: std::time::Instant) {
@@ -212,113 +106,135 @@ fn record_obs(expanded: usize, start: std::time::Instant) {
     obs.seconds.observe_duration(start.elapsed());
 }
 
-/// A stack-allocated executed-set key of `W` 64-bit words with the
-/// same bit layout as the general path's word vectors (bit `i` lives
-/// in word `i / 64`). The derived lexicographic `Ord` over the array
-/// therefore equals the `BTreeMap<Vec<u64>, _>` key order, so
-/// truncation and tie-breaks visit states in the same order on both
-/// paths.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key<const W: usize>([u64; W]);
-
-impl<const W: usize> Key<W> {
-    const ZERO: Key<W> = Key([0; W]);
+/// An executed-set key: bit `i` lives in word `i / 64`, and `Ord` is
+/// lexicographic over the words. Level order, truncation and every
+/// tie-break follow that order, so they are the same for every key
+/// type.
+trait NodeSet: Clone + Ord {
+    /// The empty set over `words` words.
+    fn empty(words: usize) -> Self;
+    fn words(&self) -> &[u64];
+    fn words_mut(&mut self) -> &mut [u64];
 
     #[inline]
-    fn with_bit(mut self, i: usize) -> Self {
-        self.0[i / 64] |= 1 << (i % 64);
-        self
+    fn set(&mut self, i: usize) {
+        self.words_mut()[i / 64] |= 1 << (i % 64);
     }
 
     #[inline]
-    fn or(mut self, other: &Key<W>) -> Self {
-        for w in 0..W {
-            self.0[w] |= other.0[w];
-        }
-        self
-    }
-
-    #[inline]
-    fn clear_bit(mut self, i: usize) -> Self {
-        self.0[i / 64] &= !(1 << (i % 64));
-        self
+    fn clear(&mut self, i: usize) {
+        self.words_mut()[i / 64] &= !(1 << (i % 64));
     }
 
     /// Whether every bit of `other` is set in `self`.
     #[inline]
-    fn contains(&self, other: &Key<W>) -> bool {
-        (0..W).all(|w| self.0[w] & other.0[w] == other.0[w])
+    fn contains(&self, other: &Self) -> bool {
+        self.words().iter().zip(other.words()).all(|(a, b)| a & b == *b)
     }
 }
 
-/// Fast path of [`dp_schedule`] for windows of up to `64·W` nodes: the
-/// executed-set key is a fixed word array, readiness and root-freeing
-/// become mask tests, and level dedup never heap-allocates a key.
-/// Transition rule, truncation, and every tie-break are identical to
-/// the general path.
-fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, u64, usize) {
+impl<const W: usize> NodeSet for [u64; W] {
+    #[inline]
+    fn empty(words: usize) -> Self {
+        debug_assert_eq!(words, W);
+        [0; W]
+    }
+    #[inline]
+    fn words(&self) -> &[u64] {
+        self
+    }
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+impl NodeSet for Box<[u64]> {
+    fn empty(words: usize) -> Self {
+        vec![0; words].into_boxed_slice()
+    }
+    #[inline]
+    fn words(&self) -> &[u64] {
+        self
+    }
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        self
+    }
+}
+
+/// The DP over a window of up to `64 · words` nodes. Readiness and
+/// root-freeing are mask tests, and each state carries its ready set
+/// incrementally, so a transition costs O(out-degree) rather than an
+/// O(n) scan.
+///
+/// The schedule itself is *not* stored per state: each state records
+/// only the arena index of its `(parent, last-node)` link, and the
+/// winning order is reconstructed by walking parents at the end.
+fn dp<K: NodeSet>(task: &SchedTask<'_>, width: usize, words: usize) -> (Vec<usize>, u64, usize) {
     let n = task.len();
-    debug_assert!(n <= 64 * W);
-    let node_mask: Vec<Key<W>> = (0..n).map(|i| Key::ZERO.with_bit(i)).collect();
-    let pred_mask: Vec<Key<W>> = (0..n)
-        .map(|v| task.preds[v].iter().fold(Key::ZERO, |m, &p| m.with_bit(p)))
-        .collect();
-    let root_users: Vec<Key<W>> = task
-        .roots
-        .iter()
-        .map(|r| r.users.iter().fold(Key::ZERO, |m, &u| m.with_bit(u)))
-        .collect();
-    struct FixedState<const W: usize> {
-        executed: Key<W>,
+    debug_assert!(n <= 64 * words);
+    let mask = |nodes: &[usize]| {
+        let mut m = K::empty(words);
+        for &i in nodes {
+            m.set(i);
+        }
+        m
+    };
+    let pred_mask: Vec<K> = task.preds.iter().map(|p| mask(p)).collect();
+    let root_users: Vec<K> = task.roots.iter().map(|r| mask(&r.users)).collect();
+    struct State<K> {
+        executed: K,
         /// Nodes whose predecessors are all executed, not yet run.
-        /// Pure function of `executed`, carried incrementally so a
-        /// transition costs O(out-degree) instead of an O(n) scan.
-        ready: Key<W>,
+        /// Pure function of `executed`.
+        ready: K,
         mem: u64,
         peak: u64,
+        /// Index into the parent-link arena (`u32::MAX` for the root).
         link: u32,
     }
-    struct FixedCand<const W: usize> {
-        ready: Key<W>,
+    struct Cand<K> {
+        ready: K,
         peak: u64,
         mem: u64,
         parent: u32,
         last: u32,
     }
-    let ready0 = (0..n)
-        .filter(|&v| pred_mask[v] == Key::ZERO)
-        .fold(Key::ZERO, |m: Key<W>, v| m.with_bit(v));
+    let sources: Vec<usize> = (0..n).filter(|&v| task.preds[v].is_empty()).collect();
+    // Parent-link arena: one `(parent, last)` entry per state that
+    // survives a level's truncation.
     let mut arena: Vec<(u32, u32)> = Vec::new();
-    let mut level = vec![FixedState {
-        executed: Key::ZERO,
-        ready: ready0,
+    let mut level = vec![State {
+        executed: K::empty(words),
+        ready: mask(&sources),
         mem: task.base,
         peak: task.base,
         link: u32::MAX,
     }];
     let mut expanded = 0usize;
-    let mut trans: Vec<(Key<W>, FixedCand<W>)> = Vec::new();
+    let mut trans: Vec<(K, Cand<K>)> = Vec::new();
     for _ in 0..n {
-        // Collect every transition flat, then dedup by a stable sort
-        // on the key: cheaper than a keyed map, with the identical
-        // outcome — ascending-key order, and among transitions to the
-        // same executed set the first-generated one wins (peak, mem)
-        // ties, exactly the map's insert-then-strict-less rule.
+        // Collect every transition flat, then dedup by a stable sort on
+        // the key: ascending-key level order, and among transitions to
+        // the same executed set the first-generated one wins (peak,
+        // mem) ties. That order — not a hash map's — keeps truncation
+        // and tie-breaks deterministic across runs and thread counts.
         trans.clear();
         for st in &level {
-            // Iterate ready bits in ascending node order (natural
-            // packing: low words, low bits first).
-            for w in 0..W {
-                let mut bits = st.ready.0[w];
+            // Ready bits in ascending node order.
+            for (w, &word) in st.ready.words().iter().enumerate() {
+                let mut bits = word;
                 while bits != 0 {
                     let v = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     expanded += 1;
-                    let key = st.executed.with_bit(v);
-                    let mut ready = st.ready.clear_bit(v);
+                    let mut key = st.executed.clone();
+                    key.set(v);
+                    let mut ready = st.ready.clone();
+                    ready.clear(v);
                     for &s in &task.succs[v] {
                         if key.contains(&pred_mask[s]) {
-                            ready = ready.or(&node_mask[s]);
+                            ready.set(s);
                         }
                     }
                     let mut mem = st.mem;
@@ -326,21 +242,19 @@ fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, 
                         mem += task.roots[ri].bytes;
                     }
                     let peak = st.peak.max(mem);
+                    // Free roots whose final user just executed.
                     for &ri in &task.uses[v] {
                         let r = &task.roots[ri];
                         if r.freeable && key.contains(&root_users[ri]) {
                             mem -= r.bytes;
                         }
                     }
-                    trans.push((
-                        key,
-                        FixedCand { ready, peak, mem, parent: st.link, last: v as u32 },
-                    ));
+                    trans.push((key, Cand { ready, peak, mem, parent: st.link, last: v as u32 }));
                 }
             }
         }
-        trans.sort_by_key(|&(key, _)| key);
-        let mut states: Vec<(Key<W>, FixedCand<W>)> = Vec::with_capacity(trans.len());
+        trans.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut states: Vec<(K, Cand<K>)> = Vec::with_capacity(trans.len());
         for (key, c) in trans.drain(..) {
             match states.last_mut() {
                 Some((k, best)) if *k == key => {
@@ -361,7 +275,7 @@ fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, 
             .map(|(executed, c)| {
                 let link = arena.len() as u32;
                 arena.push((c.parent, c.last));
-                FixedState { executed, ready: c.ready, mem: c.mem, peak: c.peak, link }
+                State { executed, ready: c.ready, mem: c.mem, peak: c.peak, link }
             })
             .collect();
     }
@@ -369,6 +283,7 @@ fn dp_fixed<const W: usize>(task: &SchedTask<'_>, width: usize) -> (Vec<usize>, 
         .iter()
         .min_by_key(|s| (s.peak, s.mem))
         .expect("at least one complete schedule");
+    // Reconstruct the winning order by walking the parent chain.
     let mut order = Vec::with_capacity(n);
     let mut cur = best.link;
     while cur != u32::MAX {

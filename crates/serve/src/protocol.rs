@@ -39,6 +39,10 @@ pub const DEFAULT_BUDGET_MS: u64 = 15_000;
 /// Deliberately small: the journal's crash-recovery window is one
 /// checkpoint interval.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
+/// Largest `threads` a job may request. A job spawns this many
+/// candidate-evaluation workers at every expansion; a larger request
+/// is rejected as a bad request rather than clamped.
+pub const MAX_THREADS: usize = 64;
 
 /// Everything a client specifies about one optimization job. The
 /// canonical JSON rendering (minus the `client` field) doubles as the
@@ -74,7 +78,7 @@ pub struct JobSpec {
     pub max_candidates: Option<usize>,
     /// Candidate-evaluation worker threads for this job (results are
     /// bit-identical for every value; default 1 keeps a loaded daemon
-    /// from oversubscribing cores).
+    /// from oversubscribing cores). 0 means 1; at most [`MAX_THREADS`].
     pub threads: usize,
     /// Structural-hash eval-cache capacity for this job's search.
     pub eval_cache: Option<usize>,
@@ -196,7 +200,11 @@ impl JobSpec {
                 Some(v.as_u64().ok_or("max_candidates must be an integer")? as usize);
         }
         if let Some(v) = get("threads") {
-            s.threads = (v.as_u64().ok_or("threads must be an integer")? as usize).max(1);
+            let threads = v.as_u64().ok_or("threads must be an integer")?;
+            if threads > MAX_THREADS as u64 {
+                return Err(format!("threads must be at most {MAX_THREADS}, not {threads}"));
+            }
+            s.threads = (threads as usize).max(1);
         }
         if let Some(v) = get("eval_cache") {
             s.eval_cache = Some(v.as_u64().ok_or("eval_cache must be an integer")? as usize);
@@ -429,6 +437,24 @@ mod tests {
         assert_eq!(a.cache_key(), b.cache_key());
         b.max_candidates = Some(65);
         assert_ne!(a.cache_key(), b.cache_key());
+    }
+
+    #[test]
+    fn threads_are_bounded() {
+        let with_threads = |t: u64| {
+            let mut j = spec().to_json();
+            if let Json::Obj(kvs) = &mut j {
+                kvs.retain(|(k, _)| k != "threads");
+                kvs.push(("threads".into(), Json::UInt(t)));
+            }
+            JobSpec::from_json(&j)
+        };
+        assert_eq!(with_threads(0).unwrap().threads, 1);
+        assert_eq!(with_threads(MAX_THREADS as u64).unwrap().threads, MAX_THREADS);
+        for t in [MAX_THREADS as u64 + 1, u64::MAX] {
+            let e = with_threads(t).unwrap_err();
+            assert!(e.contains("threads"), "{e}");
+        }
     }
 
     #[test]

@@ -15,23 +15,32 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Applies `f` to every item, fanning out over up to `threads` scoped
-/// threads, and returns the results **in input order** regardless of
-/// which worker computed them. `threads <= 1` runs inline with no
-/// thread overhead (and therefore identical observable behavior).
+/// Applies `f` to a prefix of `items`, fanning out over up to `threads`
+/// scoped threads, and returns the results **in input order**
+/// regardless of which worker computed them. `threads <= 1` runs inline
+/// with no thread overhead (and therefore identical observable
+/// behavior).
+///
+/// `claim` is the claim gate: a worker calls it before taking each next
+/// index and stops once it returns `false`. Indices are handed out in
+/// increasing order, so the claimed items form a prefix — all of
+/// `items` while the gate stays open. A gate that closes on something
+/// `f` produced lets at most `threads − 1` items, already claimed by
+/// other workers, run after it closes.
 ///
 /// # Panics
 ///
 /// A panic in any worker is propagated to the caller at the join.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, G, F>(threads: usize, items: &[T], claim: G, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
+    G: Fn() -> bool + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = threads.min(items.len());
     if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items.iter().enumerate().map_while(|(i, t)| claim().then(|| f(i, t))).collect();
     }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
@@ -40,7 +49,7 @@ where
             .map(|_| {
                 s.spawn(|| {
                     let mut produced = Vec::new();
-                    loop {
+                    while claim() {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
@@ -63,7 +72,9 @@ where
             }
         }
     });
-    slots.into_iter().map(|r| r.expect("every index produced")).collect()
+    // Every claimed index was produced, and the claimed indices are a
+    // prefix: the first empty slot ends it.
+    slots.into_iter().map_while(|r| r).collect()
 }
 
 #[cfg(test)]
@@ -74,7 +85,7 @@ mod tests {
     fn preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
         for threads in [1, 2, 4, 8] {
-            let out = par_map(threads, &items, |i, &x| {
+            let out = par_map(threads, &items, || true, |i, &x| {
                 assert_eq!(i as u64, x);
                 x * 3
             });
@@ -85,15 +96,15 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let none: Vec<u32> = vec![];
-        assert!(par_map(4, &none, |_, &x| x).is_empty());
-        assert_eq!(par_map(4, &[7u32], |_, &x| x + 1), vec![8]);
+        assert!(par_map(4, &none, || true, |_, &x| x).is_empty());
+        assert_eq!(par_map(4, &[7u32], || true, |_, &x| x + 1), vec![8]);
     }
 
     #[test]
     fn results_identical_across_thread_counts() {
         let items: Vec<u64> = (0..100).collect();
-        let serial = par_map(1, &items, |i, &x| x.wrapping_mul(i as u64 + 1));
-        let parallel = par_map(4, &items, |i, &x| x.wrapping_mul(i as u64 + 1));
+        let serial = par_map(1, &items, || true, |i, &x| x.wrapping_mul(i as u64 + 1));
+        let parallel = par_map(4, &items, || true, |i, &x| x.wrapping_mul(i as u64 + 1));
         assert_eq!(serial, parallel);
     }
 
@@ -101,11 +112,41 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..64).collect();
-        let _ = par_map(4, &items, |_, &x| {
+        let _ = par_map(4, &items, || true, |_, &x| {
             if x == 63 {
                 panic!("boom");
             }
             x
         });
+    }
+
+    /// The gate closes once `limit` items have finished: the claimed
+    /// prefix extends the serial run's, and only items other workers
+    /// had already claimed — at most `threads − 1` — finish after it.
+    /// A barrier holds each worker's first item until every worker has
+    /// claimed one, which forces that worst case when `limit` is 1.
+    #[test]
+    fn claim_gate_stops_at_a_prefix() {
+        use std::sync::Barrier;
+        let items: Vec<u64> = (0..200).collect();
+        for limit in [0, 1, 7, 50] {
+            for threads in [1, 2, 4] {
+                let done = AtomicUsize::new(0);
+                let first_round = Barrier::new(threads);
+                let out = par_map(threads, &items, || done.load(Ordering::SeqCst) < limit, |i, &x| {
+                    if i < threads {
+                        first_round.wait();
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                    x * 2
+                });
+                assert_eq!(out, (0..out.len() as u64).map(|x| x * 2).collect::<Vec<_>>());
+                let past = out.len() - limit;
+                assert!(past < threads, "threads {threads}: {past} items ran past the gate");
+                if limit == 1 {
+                    assert_eq!(past, threads - 1, "threads {threads}: every worker was in flight");
+                }
+            }
+        }
     }
 }

@@ -124,6 +124,72 @@ fn concurrent_optimize_calls_share_a_graph() {
     assert_eq!(a.evaluated, b.evaluated);
 }
 
+/// Counters and trace identities of a search capped at `max_evals`,
+/// traced through a sink scoped to this thread (the merge thread, the
+/// only writer of per-candidate records) so tests running alongside
+/// cannot leak records into it.
+fn traced_capped(
+    tg: &Graph,
+    objective: Objective,
+    threads: usize,
+    max_evals: usize,
+) -> (Run, Vec<usize>, Vec<String>) {
+    use magis::obs::trace::{self, BufferSink, TraceEvent};
+    let cfg = capped(objective, threads).with_max_evals(max_evals);
+    let sink = std::sync::Arc::new(BufferSink::new());
+    let guard = trace::scoped(sink.clone(), Vec::new());
+    let res = optimize(tg.clone(), &cfg);
+    drop(guard);
+    let s = &res.stats;
+    let counters = vec![
+        s.panicked,
+        s.cost_rejections,
+        s.invariant_rejections,
+        s.quarantined_candidates,
+        s.eval_cache_hits,
+        s.eval_cache_misses,
+        s.eval_cache_evictions,
+        s.eval_cache_purged,
+    ];
+    let mut identities: Vec<String> = sink.take().iter().map(TraceEvent::identity).collect();
+    identities.sort();
+    let run = Run {
+        best: res.best.cost(),
+        history: res.history.iter().map(|p| (p.peak_bytes, p.latency)).collect(),
+        evaluated: s.evaluated,
+        expanded: s.expanded,
+        candidates: s.candidates,
+        filtered: s.filtered,
+    };
+    (run, counters, identities)
+}
+
+#[test]
+fn eval_cap_inside_the_first_batch_is_thread_count_invariant() {
+    // A cap smaller than the first expansion's batch: the fan-out's
+    // claim gate closes mid-batch, and candidates still in flight on
+    // other workers must leave no trace in the result.
+    let tg = Workload::UNet.build(0.15);
+    let init = MState::initial(tg.graph.clone(), &EvalContext::default());
+    let obj = Objective::MinMemory { lat_limit: init.eval.latency * 1.10 };
+    for max_evals in [1, 5] {
+        let (serial, serial_counts, serial_ids) = traced_capped(&tg.graph, obj, 1, max_evals);
+        let (parallel, parallel_counts, parallel_ids) = traced_capped(&tg.graph, obj, 4, max_evals);
+        assert_eq!(serial.expanded, 1, "cap {max_evals} ends the search in its first expansion");
+        assert!(serial.candidates > max_evals, "cap {max_evals} cuts the first batch");
+        assert_eq!(serial.evaluated, max_evals);
+        assert_eq!(serial.best, parallel.best, "cap {max_evals}: best");
+        assert_eq!(serial.history, parallel.history, "cap {max_evals}: history");
+        assert_eq!(serial.evaluated, parallel.evaluated, "cap {max_evals}: evaluated");
+        assert_eq!(serial.expanded, parallel.expanded, "cap {max_evals}: expanded");
+        assert_eq!(serial.candidates, parallel.candidates, "cap {max_evals}: candidates");
+        assert_eq!(serial.filtered, parallel.filtered, "cap {max_evals}: filtered");
+        assert_eq!(serial_counts, parallel_counts, "cap {max_evals}: counters");
+        assert!(serial_ids.iter().any(|id| id.starts_with("span:magis_core/candidate_eval[")));
+        assert_eq!(serial_ids, parallel_ids, "cap {max_evals}: trace identity multiset");
+    }
+}
+
 #[test]
 fn search_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}

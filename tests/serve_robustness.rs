@@ -132,6 +132,50 @@ fn full_queue_rejects_without_perturbing_running_jobs() {
 }
 
 #[test]
+fn hostile_requests_get_4xx_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let state = scratch("hostile");
+    let (handle, join) =
+        start(ServeConfig { state_dir: state.clone(), workers: 1, ..ServeConfig::default() });
+    let addr = handle.addr();
+
+    // One 400 KB line of `[`: far deeper than any stack could recurse.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let mut line = "[".repeat(400_000);
+    line.push('\n');
+    raw.write_all(line.as_bytes()).expect("send the nested line");
+    let mut reply = String::new();
+    BufReader::new(raw.try_clone().expect("clone")).read_line(&mut reply).expect("reply");
+    let reply = Json::parse(&reply).expect("the reply is JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    let code = reply.get("code").and_then(Json::as_u64).expect("a rejection code");
+    assert!((400..500).contains(&code), "nesting bomb gets a 4xx, not {code}");
+    drop(raw);
+
+    // A fan-out wider than the protocol allows is refused at admission.
+    let mut wide = unet_spec(20);
+    wide.threads = magis::serve::protocol::MAX_THREADS + 1;
+    let mut c = Client::connect(addr).expect("connect");
+    match c.submit_nowait(&wide) {
+        Err(ServeError::Rejected { code, error }) => {
+            assert!((400..500).contains(&code), "over-wide job gets a 4xx, not {code}");
+            assert!(error.contains("threads"), "reason names the field: {error}");
+        }
+        other => panic!("expected a threads rejection, got {other:?}"),
+    }
+
+    // The daemon is still alive and completes a well-formed job.
+    let mut c = Client::connect(addr).expect("connect after the hostile requests");
+    let out = c.submit_and_wait(&unet_spec(20)).expect("submit");
+    let r = out.result.expect("the well-formed job completes");
+    assert!(r.evaluated >= 1);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn per_client_cap_rejects_excess_concurrency() {
     let state = scratch("clientcap");
     let (handle, join) = start(ServeConfig {
