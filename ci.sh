@@ -122,6 +122,14 @@ timeout -s KILL 4 ./target/release/magis optimize \
     --checkpoint "$CKPT" --checkpoint-every 4 || true
 test -f "$CKPT" || { echo "no checkpoint survived the kill"; exit 1; }
 run ./target/release/magis optimize --resume "$CKPT" --budget-ms 3000
+# Only the current checkpoint format is read: the same file relabelled
+# as v3 must be refused with the unsupported-version message.
+sed -i '1s/^magis-checkpoint v4$/magis-checkpoint v3/' "$CKPT"
+if V3_OUT="$(./target/release/magis optimize --resume "$CKPT" --budget-ms 1000 2>&1)"; then
+    echo "$V3_OUT"; echo "a v3 checkpoint was not rejected"; exit 1
+fi
+grep -q "unsupported checkpoint version v3; this build reads v4" <<<"$V3_OUT" \
+    || { echo "$V3_OUT"; echo "the v3 rejection lacks the unsupported-version message"; exit 1; }
 rm -rf "$(dirname "$CKPT")"
 
 # Deadline smoke: a hard wall limit returns a best-so-far result and
@@ -196,6 +204,16 @@ BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Car
     --workload greedy-conv --seed 1 --seconds 1 --trace 0)"
 tail -1 <<<"$BENCH_OUT" | grep -q '"correct":true' \
     || { echo "$BENCH_OUT"; echo "perfbench greedy-conv reported incorrect results"; exit 1; }
+
+# Served benchmark smoke: jobs on an in-process daemon checkpoint
+# every 16 evaluations and stream progress snapshots, and every served
+# result must equal the same request run in process.
+echo
+echo "==> perfbench serve-mixed smoke"
+BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-mixed --seed 1 --seconds 1 --trace 0)"
+tail -1 <<<"$BENCH_OUT" | grep -q '"correct":true' \
+    || { echo "$BENCH_OUT"; echo "perfbench serve-mixed reported incorrect results"; exit 1; }
 
 # Overhead guard: with tracing disabled, the always-on instrumentation
 # must stay within 5% (+ noise floor) of a fully suppressed run.

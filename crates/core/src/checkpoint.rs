@@ -12,25 +12,37 @@
 //! re-simulated rather than re-scheduled — re-scheduling could land on
 //! a different (worse) evaluation than the one that won incumbency.
 //!
-//! Since v3 a checkpoint can additionally carry the **frontier**: every
-//! entry still on the priority queue, each with its sequence number,
-//! staleness flag, and the same order/F-Tree/graph-record block as the
-//! incumbent. A frontier-bearing checkpoint resumes *exactly* — the
-//! queue, seen-set, and sequence counter are reconstructed verbatim,
-//! so a killed-and-resumed search replays the identical trajectory and
-//! finishes bit-identical to an uninterrupted run (given deterministic
-//! stopping, i.e. a candidate cap rather than wall clock). Frontier-
-//! free checkpoints (v1/v2, or v3 written without the frontier policy)
-//! keep the legacy best-effort resume: the incumbent is re-seeded and
-//! the search re-explores from there.
+//! There is one format, `magis-checkpoint v4`; any other version is
+//! rejected with a typed error. In file order it holds:
 //!
-//! Since v4 a checkpoint is **driver-tagged**: a `driver` line right
-//! after the header names the search engine that wrote it (`greedy` or
-//! `mcts`), and an MCTS checkpoint additionally stores the tree
-//! metadata (parent/visit/reward per node, plus the RNG state) beside
-//! the frontier, whose entries then carry the node states. Resume
-//! restores the checkpoint's engine regardless of the caller's
-//! configured driver. v1–v3 checkpoints decode as `greedy`.
+//! * a `driver` line naming the search engine that wrote it (`greedy`
+//!   or `mcts`) — resume restores that engine regardless of the
+//!   caller's configured driver;
+//! * the RNG seed, the seed and incumbent costs, and a `counters` line
+//!   with ten cumulative [`OptimizerStats`] counts (expanded,
+//!   evaluated, candidates, filtered, panicked, cost rejections,
+//!   invariant rejections, quarantined candidates, checkpoints
+//!   written, checkpoint failures), so a resumed search's stats and
+//!   `magis_core_*` counters continue from the checkpointed totals;
+//! * the Pareto points, seen-set hashes, quarantine strikes, and the
+//!   incumbent's schedule and F-Tree;
+//! * the optional **frontier**: every entry still on the driver's
+//!   frontier, each with its sequence number, staleness flag, and the
+//!   same order/F-Tree/graph-record block as the incumbent. A
+//!   frontier-bearing checkpoint resumes *exactly* — the queue,
+//!   seen-set, and sequence counter are reconstructed verbatim, so a
+//!   killed-and-resumed search replays the identical trajectory and
+//!   finishes bit-identical to an uninterrupted run (given
+//!   deterministic stopping, i.e. a candidate cap rather than wall
+//!   clock). A frontier-free checkpoint resumes best-effort: the
+//!   incumbent is re-seeded and the search re-explores from there;
+//! * for an MCTS frontier, the tree metadata (parent/visit/reward per
+//!   node, plus the RNG state);
+//! * the incumbent's two graph records and a footer.
+//!
+//! The decoder sizes every vector from the input that is left, not from
+//! the count the file declares, so a corrupt count ends in a typed
+//! error rather than an allocation failure.
 //!
 //! The optimizer's configuration (objective, budget, thread count,
 //! rule set) is deliberately **not** stored: the resuming caller's
@@ -41,6 +53,7 @@ use magis_graph::GraphView;
 use crate::driver::DriverKind;
 use crate::ftree::{FTree, FTreeNode};
 use crate::fission::FissionSpec;
+use crate::optimizer::OptimizerStats;
 use crate::state::{EvalContext, EvalError, MState};
 use magis_graph::graph::NodeId;
 use magis_graph::io::{self, RecordError};
@@ -49,18 +62,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::Path;
+use std::str::FromStr;
 
 const CKPT_HEADER: &str = "magis-checkpoint v4";
-/// v3: no `driver` line and no MCTS tree section (decodes as the
-/// greedy driver).
-const CKPT_HEADER_V3: &str = "magis-checkpoint v3";
-/// v2: no `next_seq` / `frontier` sections (resumes with an empty
-/// frontier, i.e. the legacy incumbent-reseed path).
-const CKPT_HEADER_V2: &str = "magis-checkpoint v2";
-/// v1: additionally, the `counters` line carries 8 fields (no
-/// checkpoint-write accounting). Still readable; the missing counters
-/// resume as zero.
-const CKPT_HEADER_V1: &str = "magis-checkpoint v1";
 const CKPT_FOOTER: &str = "ckpt-end";
 
 /// Why loading or restoring a checkpoint failed.
@@ -117,36 +121,8 @@ impl From<EvalError> for CheckpointError {
     }
 }
 
-/// Search-progress counters carried across a resume so stats stay
-/// cumulative over the whole (interrupted) search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointCounters {
-    /// States expanded.
-    pub expanded: u64,
-    /// Candidates evaluated.
-    pub evaluated: u64,
-    /// Candidates generated.
-    pub candidates: u64,
-    /// Candidates filtered as duplicates.
-    pub filtered: u64,
-    /// Candidate evaluations that panicked (sandboxed).
-    pub panicked: u64,
-    /// Candidates rejected for defective costs.
-    pub cost_rejections: u64,
-    /// Candidates rejected by invariant enforcement.
-    pub invariant_rejections: u64,
-    /// Candidates skipped because their rule family was quarantined.
-    pub quarantined_candidates: u64,
-    /// Checkpoints successfully written (v2; zero when resuming a v1
-    /// checkpoint).
-    pub checkpoints_written: u64,
-    /// Checkpoint writes that failed (v2; zero when resuming a v1
-    /// checkpoint).
-    pub checkpoint_failures: u64,
-}
-
-/// One priority-queue entry captured in a frontier-bearing (v3)
-/// checkpoint: the state's serialized parts plus the queue bookkeeping
+/// One frontier entry captured in a frontier-bearing checkpoint: the
+/// state's serialized parts plus the queue bookkeeping
 /// (sequence number, staleness) needed to reconstruct the heap
 /// verbatim.
 #[derive(Debug, Clone)]
@@ -166,7 +142,7 @@ pub struct FrontierEntry {
     pub eval_record: String,
 }
 
-/// Per-node MCTS tree metadata stored beside a frontier entry (v4).
+/// Per-node MCTS tree metadata stored beside a frontier entry.
 /// The entry at the same position in the frontier carries the node's
 /// state; this struct carries everything else the tree needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +160,7 @@ pub struct MctsNodeMeta {
     pub expanded: bool,
 }
 
-/// MCTS engine state stored in a v4 frontier-bearing checkpoint: the
+/// MCTS engine state stored in a frontier-bearing checkpoint: the
 /// driver's RNG state plus one [`MctsNodeMeta`] per frontier entry (in
 /// arena order). Restoring it resumes the tree — and the rollout RNG
 /// stream — exactly where the checkpoint left off.
@@ -205,8 +181,10 @@ pub struct SearchCheckpoint {
     pub seed_cost: (u64, f64),
     /// `(peak_bytes, latency)` of the incumbent at checkpoint time.
     pub best_cost: (u64, f64),
-    /// Cumulative progress counters.
-    pub counters: CheckpointCounters,
+    /// Cumulative search counts. Only the ten fields of the `counters`
+    /// line are persisted (see the module docs); every other field
+    /// decodes as its default.
+    pub counters: OptimizerStats,
     /// Pareto frontier points `(peak_bytes, latency)`.
     pub pareto: Vec<(u64, f64)>,
     /// Graph hashes already explored (includes the incumbent's own).
@@ -221,19 +199,18 @@ pub struct SearchCheckpoint {
     pub base_record: String,
     /// Graph record of the incumbent's overlaid (simulated) graph.
     pub eval_record: String,
-    /// The sequence counter's next value (v3; `0` in legacy
-    /// checkpoints — only meaningful when `frontier` is non-empty).
+    /// The sequence counter's next value (only meaningful when
+    /// `frontier` is non-empty).
     pub next_seq: u64,
-    /// The priority-queue frontier at checkpoint time, sorted by
-    /// sequence number (v3; empty in legacy checkpoints and when the
-    /// checkpoint policy doesn't request frontier capture). Non-empty
-    /// frontiers make resume trajectory-exact.
+    /// The driver frontier at checkpoint time, sorted by sequence
+    /// number (empty when the checkpoint policy doesn't request
+    /// frontier capture). Non-empty frontiers make resume
+    /// trajectory-exact.
     pub frontier: Vec<FrontierEntry>,
-    /// The search engine that wrote this checkpoint (v4; legacy
-    /// checkpoints decode as [`DriverKind::Greedy`]). Resume restores
+    /// The search engine that wrote this checkpoint. Resume restores
     /// this engine, not the caller's configured one.
     pub driver: DriverKind,
-    /// MCTS tree metadata (v4, MCTS frontier checkpoints only).
+    /// MCTS tree metadata (MCTS frontier checkpoints only).
     pub mcts: Option<MctsCheckpoint>,
 }
 
@@ -241,18 +218,20 @@ fn f64_hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-fn parse_u64(tok: &str, line: usize, what: &str) -> Result<u64, CheckpointError> {
-    tok.parse::<u64>().map_err(|_| CheckpointError::Parse {
+fn parse_num<T: FromStr>(tok: &str, line: usize, what: &str) -> Result<T, CheckpointError> {
+    tok.parse::<T>().map_err(|_| CheckpointError::Parse {
         line,
         msg: format!("bad {what} '{tok}'"),
     })
 }
 
-fn parse_usize(tok: &str, line: usize, what: &str) -> Result<usize, CheckpointError> {
-    tok.parse::<usize>().map_err(|_| CheckpointError::Parse {
-        line,
-        msg: format!("bad {what} '{tok}'"),
-    })
+/// A `0`/`1` flag.
+fn parse_flag(tok: &str, line: usize, what: &str) -> Result<bool, CheckpointError> {
+    match tok {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(CheckpointError::Parse { line, msg: format!("bad {what} flag '{tok}'") }),
+    }
 }
 
 fn parse_f64_hex(tok: &str, line: usize, what: &str) -> Result<f64, CheckpointError> {
@@ -278,7 +257,7 @@ fn parse_plus(tok: &str, line: usize, what: &str) -> Result<Vec<usize>, Checkpoi
     if tok == "-" {
         return Ok(Vec::new());
     }
-    tok.split('+').map(|t| parse_usize(t, line, what)).collect()
+    tok.split('+').map(|t| parse_num::<usize>(t, line, what)).collect()
 }
 
 // ---- shared state-block emitters (incumbent + frontier entries) ----
@@ -344,6 +323,31 @@ fn next_line(lines: &[&str], ln: &mut usize) -> Result<String, CheckpointError> 
     Ok(lines[i].to_string())
 }
 
+/// Initial capacity for `declared` entries: never more than the lines
+/// left in the input (the vector grows where a line holds several), so
+/// a corrupt count fails at end of input instead of aborting on a huge
+/// allocation first.
+fn capacity(declared: usize, lines: &[&str], ln: usize) -> usize {
+    declared.min(lines.len().saturating_sub(ln))
+}
+
+/// Accepts only the current header; any other `magis-checkpoint`
+/// version is named in the error.
+fn check_header(header: &str) -> Result<(), CheckpointError> {
+    let header = header.trim();
+    if header == CKPT_HEADER {
+        return Ok(());
+    }
+    let (magic, current) = CKPT_HEADER.split_once(' ').expect("header is '<magic> <version>'");
+    let msg = match header.split_once(' ') {
+        Some((m, version)) if m == magic => {
+            format!("unsupported checkpoint version {version}; this build reads {current}")
+        }
+        _ => format!("bad header '{header}' (expected '{CKPT_HEADER}')"),
+    };
+    Err(CheckpointError::Parse { line: 1, msg })
+}
+
 fn expect_kv(
     line: String,
     ln: usize,
@@ -362,8 +366,8 @@ fn expect_kv(
 
 fn decode_order(lines: &[&str], ln: &mut usize) -> Result<Vec<usize>, CheckpointError> {
     let t = expect_kv(next_line(lines, ln)?, *ln, "order", 1)?;
-    let no = parse_usize(&t[0], *ln, "order count")?;
-    let mut order = Vec::with_capacity(no);
+    let no = parse_num::<usize>(&t[0], *ln, "order count")?;
+    let mut order = Vec::with_capacity(capacity(no, lines, *ln));
     while order.len() < no {
         let line = next_line(lines, ln)?;
         let mut toks = line.split_whitespace();
@@ -374,7 +378,7 @@ fn decode_order(lines: &[&str], ln: &mut usize) -> Result<Vec<usize>, Checkpoint
             });
         }
         for tok in toks {
-            order.push(parse_usize(tok, *ln, "order index")?);
+            order.push(parse_num::<usize>(tok, *ln, "order index")?);
         }
         if order.len() > no {
             return Err(CheckpointError::Parse {
@@ -388,8 +392,8 @@ fn decode_order(lines: &[&str], ln: &mut usize) -> Result<Vec<usize>, Checkpoint
 
 fn decode_ftree(lines: &[&str], ln: &mut usize) -> Result<Vec<FTreeNode>, CheckpointError> {
     let t = expect_kv(next_line(lines, ln)?, *ln, "ftree", 1)?;
-    let nf = parse_usize(&t[0], *ln, "ftree count")?;
-    let mut ftree_nodes = Vec::with_capacity(nf);
+    let nf = parse_num::<usize>(&t[0], *ln, "ftree count")?;
+    let mut ftree_nodes = Vec::with_capacity(capacity(nf, lines, *ln));
     for _ in 0..nf {
         let line = next_line(lines, ln)?;
         let toks: Vec<&str> = line.split_whitespace().collect();
@@ -402,10 +406,10 @@ fn decode_ftree(lines: &[&str], ln: &mut usize) -> Result<Vec<FTreeNode>, Checkp
         let parent = if toks[1] == "-" {
             None
         } else {
-            Some(parse_usize(toks[1], *ln, "parent")?)
+            Some(parse_num::<usize>(toks[1], *ln, "parent")?)
         };
-        let level = parse_usize(toks[2], *ln, "level")?;
-        let parts = parse_u64(toks[3], *ln, "parts")?;
+        let level = parse_num::<usize>(toks[2], *ln, "level")?;
+        let parts = parse_num::<u64>(toks[3], *ln, "parts")?;
         let ch = toks[4].strip_prefix("ch=").ok_or_else(|| CheckpointError::Parse {
             line: *ln,
             msg: format!("expected ch= field, got '{}'", toks[4]),
@@ -430,7 +434,7 @@ fn decode_ftree(lines: &[&str], ln: &mut usize) -> Result<Vec<FTreeNode>, Checkp
                     line: *ln,
                     msg: format!("bad dims pair '{pair}'"),
                 })?;
-                let v = parse_usize(v, *ln, "dims node")?;
+                let v = parse_num::<usize>(v, *ln, "dims node")?;
                 let d: i32 = d.parse().map_err(|_| CheckpointError::Parse {
                     line: *ln,
                     msg: format!("bad dims value '{d}'"),
@@ -467,7 +471,7 @@ fn decode_graph(tag: &str, lines: &[&str], ln: &mut usize) -> Result<String, Che
             msg: format!("expected '{tag} <lines>', got '{line}'"),
         });
     }
-    let n = parse_usize(toks[1], *ln, "graph line count")?;
+    let n = parse_num::<usize>(toks[1], *ln, "graph line count")?;
     let mut rec = String::new();
     for _ in 0..n {
         rec.push_str(&next_line(lines, ln)?);
@@ -616,66 +620,53 @@ impl SearchCheckpoint {
         let lines: Vec<&str> = text.lines().collect();
         let mut ln = 0usize; // index into `lines`; 1-based in errors
 
-        let header = next_line(&lines, &mut ln)?;
-        let v1 = header.trim() == CKPT_HEADER_V1;
-        let v2 = header.trim() == CKPT_HEADER_V2;
-        let v3 = header.trim() == CKPT_HEADER_V3;
-        if !v1 && !v2 && !v3 && header.trim() != CKPT_HEADER {
-            return Err(CheckpointError::Parse {
-                line: 1,
-                msg: format!("bad header '{header}' (expected '{CKPT_HEADER}')"),
-            });
-        }
-        // v1/v2: no next_seq/frontier sections at all.
-        let legacy = v1 || v2;
-        // v1/v2/v3: no driver line, no MCTS section — greedy by
-        // construction.
-        let pre_v4 = legacy || v3;
+        check_header(&next_line(&lines, &mut ln)?)?;
 
-        let driver = if pre_v4 {
-            DriverKind::Greedy
-        } else {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "driver", 1)?;
-            DriverKind::parse(&t[0]).ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                msg: format!("unknown driver '{}'", t[0]),
-            })?
-        };
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "driver", 1)?;
+        let driver = DriverKind::parse(&t[0]).ok_or_else(|| CheckpointError::Parse {
+            line: ln,
+            msg: format!("unknown driver '{}'", t[0]),
+        })?;
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "rng", 1)?;
         let rng_seed = parse_hex_u64(&t[0], ln, "rng seed")?;
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "seed_cost", 2)?;
-        let seed_cost = (parse_u64(&t[0], ln, "seed peak")?, parse_f64_hex(&t[1], ln, "seed latency")?);
+        let seed_cost =
+            (parse_num::<u64>(&t[0], ln, "seed peak")?, parse_f64_hex(&t[1], ln, "seed latency")?);
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "best_cost", 2)?;
-        let best_cost = (parse_u64(&t[0], ln, "best peak")?, parse_f64_hex(&t[1], ln, "best latency")?);
+        let best_cost =
+            (parse_num::<u64>(&t[0], ln, "best peak")?, parse_f64_hex(&t[1], ln, "best latency")?);
 
-        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "counters", if v1 { 8 } else { 10 })?;
-        let counters = CheckpointCounters {
-            expanded: parse_u64(&t[0], ln, "expanded")?,
-            evaluated: parse_u64(&t[1], ln, "evaluated")?,
-            candidates: parse_u64(&t[2], ln, "candidates")?,
-            filtered: parse_u64(&t[3], ln, "filtered")?,
-            panicked: parse_u64(&t[4], ln, "panicked")?,
-            cost_rejections: parse_u64(&t[5], ln, "cost_rejections")?,
-            invariant_rejections: parse_u64(&t[6], ln, "invariant_rejections")?,
-            quarantined_candidates: parse_u64(&t[7], ln, "quarantined_candidates")?,
-            checkpoints_written: if v1 { 0 } else { parse_u64(&t[8], ln, "checkpoints_written")? },
-            checkpoint_failures: if v1 { 0 } else { parse_u64(&t[9], ln, "checkpoint_failures")? },
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "counters", 10)?;
+        let c = |i: usize| parse_num::<usize>(&t[i], ln, &format!("counter #{i}"));
+        let counters = OptimizerStats {
+            expanded: c(0)?,
+            evaluated: c(1)?,
+            candidates: c(2)?,
+            filtered: c(3)?,
+            panicked: c(4)?,
+            cost_rejections: c(5)?,
+            invariant_rejections: c(6)?,
+            quarantined_candidates: c(7)?,
+            checkpoints_written: c(8)?,
+            checkpoint_failures: c(9)?,
+            ..OptimizerStats::default()
         };
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "pareto", 1)?;
-        let np = parse_usize(&t[0], ln, "pareto count")?;
-        let mut pareto = Vec::with_capacity(np);
+        let np = parse_num::<usize>(&t[0], ln, "pareto count")?;
+        let mut pareto = Vec::with_capacity(capacity(np, &lines, ln));
         for _ in 0..np {
             let t = expect_kv(next_line(&lines, &mut ln)?, ln, "p", 2)?;
-            pareto.push((parse_u64(&t[0], ln, "pareto peak")?, parse_f64_hex(&t[1], ln, "pareto latency")?));
+            let peak = parse_num::<u64>(&t[0], ln, "pareto peak")?;
+            pareto.push((peak, parse_f64_hex(&t[1], ln, "pareto latency")?));
         }
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "seen", 1)?;
-        let ns = parse_usize(&t[0], ln, "seen count")?;
-        let mut seen = Vec::with_capacity(ns);
+        let ns = parse_num::<usize>(&t[0], ln, "seen count")?;
+        let mut seen = Vec::with_capacity(capacity(ns, &lines, ln));
         while seen.len() < ns {
             let line = next_line(&lines, &mut ln)?;
             let mut toks = line.split_whitespace();
@@ -697,88 +688,65 @@ impl SearchCheckpoint {
         }
 
         let t = expect_kv(next_line(&lines, &mut ln)?, ln, "quarantine", 1)?;
-        let nq = parse_usize(&t[0], ln, "quarantine count")?;
-        let mut quarantine = Vec::with_capacity(nq);
+        let nq = parse_num::<usize>(&t[0], ln, "quarantine count")?;
+        let mut quarantine = Vec::with_capacity(capacity(nq, &lines, ln));
         for _ in 0..nq {
             let t = expect_kv(next_line(&lines, &mut ln)?, ln, "q", 2)?;
-            let fam = parse_u64(&t[0], ln, "family")?;
+            let fam = parse_num::<u64>(&t[0], ln, "family")?;
             if fam > u8::MAX as u64 {
                 return Err(CheckpointError::Parse { line: ln, msg: format!("family {fam} out of range") });
             }
-            let strikes = parse_u64(&t[1], ln, "strikes")?;
+            let strikes = parse_num::<u64>(&t[1], ln, "strikes")?;
             quarantine.push((fam as u8, strikes.min(u32::MAX as u64) as u32));
         }
 
         let best_order = decode_order(&lines, &mut ln)?;
         let ftree_nodes = decode_ftree(&lines, &mut ln)?;
 
-        let (next_seq, frontier, mcts) = if legacy {
-            (0, Vec::new(), None)
-        } else {
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "next_seq", 1)?;
-            let next_seq = parse_u64(&t[0], ln, "next_seq")?;
-            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "frontier", 1)?;
-            let nfr = parse_usize(&t[0], ln, "frontier count")?;
-            let mut frontier = Vec::with_capacity(nfr);
-            for _ in 0..nfr {
-                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "entry", 2)?;
-                let seq = parse_u64(&t[0], ln, "entry seq")?;
-                let tree_stale = match t[1].as_str() {
-                    "0" => false,
-                    "1" => true,
-                    other => {
-                        return Err(CheckpointError::Parse {
-                            line: ln,
-                            msg: format!("bad entry staleness flag '{other}'"),
-                        })
-                    }
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "next_seq", 1)?;
+        let next_seq = parse_num::<u64>(&t[0], ln, "next_seq")?;
+        let t = expect_kv(next_line(&lines, &mut ln)?, ln, "frontier", 1)?;
+        let nfr = parse_num::<usize>(&t[0], ln, "frontier count")?;
+        let mut frontier = Vec::with_capacity(capacity(nfr, &lines, ln));
+        for _ in 0..nfr {
+            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "entry", 2)?;
+            let seq = parse_num::<u64>(&t[0], ln, "entry seq")?;
+            let tree_stale = parse_flag(&t[1], ln, "entry staleness")?;
+            let order = decode_order(&lines, &mut ln)?;
+            let ftree_nodes = decode_ftree(&lines, &mut ln)?;
+            let base_record = decode_graph("base-graph", &lines, &mut ln)?;
+            let eval_record = decode_graph("eval-graph", &lines, &mut ln)?;
+            frontier.push(FrontierEntry {
+                seq,
+                tree_stale,
+                order,
+                ftree_nodes,
+                base_record,
+                eval_record,
+            });
+        }
+        // An optional MCTS tree section follows the frontier.
+        let mcts = if lines.get(ln).is_some_and(|l| l.starts_with("mcts ")) {
+            let t = expect_kv(next_line(&lines, &mut ln)?, ln, "mcts", 2)?;
+            let nn = parse_num::<usize>(&t[0], ln, "mcts node count")?;
+            let rng_state = parse_hex_u64(&t[1], ln, "mcts rng state")?;
+            let mut nodes = Vec::with_capacity(capacity(nn, &lines, ln));
+            for _ in 0..nn {
+                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "m", 5)?;
+                let parent = if t[0] == "-" {
+                    None
+                } else {
+                    Some(parse_num::<u64>(&t[0], ln, "mcts parent")?)
                 };
-                let order = decode_order(&lines, &mut ln)?;
-                let ftree_nodes = decode_ftree(&lines, &mut ln)?;
-                let base_record = decode_graph("base-graph", &lines, &mut ln)?;
-                let eval_record = decode_graph("eval-graph", &lines, &mut ln)?;
-                frontier.push(FrontierEntry {
-                    seq,
-                    tree_stale,
-                    order,
-                    ftree_nodes,
-                    base_record,
-                    eval_record,
-                });
+                let cand_index = parse_num::<u64>(&t[1], ln, "mcts cand_index")?;
+                let visits = parse_num::<u64>(&t[2], ln, "mcts visits")?;
+                let reward_sum = parse_f64_hex(&t[3], ln, "mcts reward")?;
+                let expanded = parse_flag(&t[4], ln, "mcts expanded")?;
+                nodes.push(MctsNodeMeta { parent, cand_index, visits, reward_sum, expanded });
             }
-            // v4: an optional MCTS tree section follows the frontier.
-            let mcts = if !pre_v4 && lines.get(ln).is_some_and(|l| l.starts_with("mcts ")) {
-                let t = expect_kv(next_line(&lines, &mut ln)?, ln, "mcts", 2)?;
-                let nn = parse_usize(&t[0], ln, "mcts node count")?;
-                let rng_state = parse_hex_u64(&t[1], ln, "mcts rng state")?;
-                let mut nodes = Vec::with_capacity(nn);
-                for _ in 0..nn {
-                    let t = expect_kv(next_line(&lines, &mut ln)?, ln, "m", 5)?;
-                    let parent = if t[0] == "-" {
-                        None
-                    } else {
-                        Some(parse_u64(&t[0], ln, "mcts parent")?)
-                    };
-                    let cand_index = parse_u64(&t[1], ln, "mcts cand_index")?;
-                    let visits = parse_u64(&t[2], ln, "mcts visits")?;
-                    let reward_sum = parse_f64_hex(&t[3], ln, "mcts reward")?;
-                    let expanded = match t[4].as_str() {
-                        "0" => false,
-                        "1" => true,
-                        other => {
-                            return Err(CheckpointError::Parse {
-                                line: ln,
-                                msg: format!("bad mcts expanded flag '{other}'"),
-                            })
-                        }
-                    };
-                    nodes.push(MctsNodeMeta { parent, cand_index, visits, reward_sum, expanded });
-                }
-                Some(MctsCheckpoint { rng_state, nodes })
-            } else {
-                None
-            };
-            (next_seq, frontier, mcts)
+            Some(MctsCheckpoint { rng_state, nodes })
+        } else {
+            None
         };
 
         let base_record = decode_graph("base-graph", &lines, &mut ln)?;
@@ -851,11 +819,11 @@ impl SearchCheckpoint {
         restore_parts(&self.best_order, &self.ftree_nodes, &self.base_record, &self.eval_record, ctx)
     }
 
-    /// Rebuilds the checkpointed frontier (v3): every queue entry is
+    /// Rebuilds the checkpointed frontier: every entry is
     /// restored through the same validation/re-simulation pipeline as
     /// the incumbent, with its checkpointed staleness flag and sequence
     /// number reinstated. Returns `(seq, state)` pairs in stored
-    /// (sequence) order; empty for legacy / frontier-free checkpoints.
+    /// (sequence) order; empty for frontier-free checkpoints.
     ///
     /// # Errors
     ///
@@ -906,7 +874,7 @@ mod tests {
             rng_seed: 0x5eed,
             seed_cost: s.cost(),
             best_cost: s.cost(),
-            counters: CheckpointCounters { expanded: 3, evaluated: 17, ..Default::default() },
+            counters: OptimizerStats { expanded: 3, evaluated: 17, ..Default::default() },
             pareto: vec![s.cost(), (s.cost().0 / 2, s.cost().1 * 2.0)],
             seen: vec![1, 2, 0xdeadbeef],
             quarantine: vec![(4, 2)],
@@ -993,114 +961,82 @@ mod tests {
         restored.eval.graph.validate().unwrap();
     }
 
+    /// A checkpoint written by the v4 encoder as it stood before the
+    /// search counters moved onto `OptimizerStats`: a small state with
+    /// one frontier entry and an MCTS section, and ten distinct
+    /// counter values pinning the `counters` field order.
+    const V4_FIXTURE: &str = include_str!("../tests/fixtures/v4_mcts_frontier.ckpt");
+
     #[test]
-    fn v1_checkpoints_still_decode() {
-        let s = small_state();
-        let mut c = checkpoint_of(&s);
-        c.counters.checkpoints_written = 5;
-        c.counters.checkpoint_failures = 1;
-        // Rewrite the v4 text down to the v1 format: old header, no
-        // driver line, 8-field counters line, no next_seq/frontier
-        // sections.
-        let v4 = c.encode();
-        let v1_counters = format!(
-            "counters {} {} {} {} {} {} {} {}",
-            c.counters.expanded,
-            c.counters.evaluated,
-            c.counters.candidates,
-            c.counters.filtered,
-            c.counters.panicked,
-            c.counters.cost_rejections,
-            c.counters.invariant_rejections,
-            c.counters.quarantined_candidates
+    fn v4_fixture_decodes_and_reencodes_byte_identically() {
+        let d = SearchCheckpoint::decode(V4_FIXTURE).unwrap();
+        assert_eq!(d.encode(), V4_FIXTURE);
+        let c = &d.counters;
+        assert_eq!(
+            [
+                c.expanded,
+                c.evaluated,
+                c.candidates,
+                c.filtered,
+                c.panicked,
+                c.cost_rejections,
+                c.invariant_rejections,
+                c.quarantined_candidates,
+                c.checkpoints_written,
+                c.checkpoint_failures,
+            ],
+            [3, 17, 41, 5, 1, 2, 4, 6, 7, 8]
         );
-        let v1_text: String = v4
-            .lines()
-            .filter(|l| *l != "next_seq 0" && *l != "frontier 0" && *l != "driver greedy")
-            .map(|l| {
-                if l == "magis-checkpoint v4" {
-                    "magis-checkpoint v1".to_string()
-                } else if l.starts_with("counters ") {
-                    v1_counters.clone()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let d = SearchCheckpoint::decode(&v1_text).unwrap();
-        // Shared counters survive; the v2-only ones resume from zero.
-        assert_eq!(d.counters.evaluated, c.counters.evaluated);
-        assert_eq!(d.counters.checkpoints_written, 0);
-        assert_eq!(d.counters.checkpoint_failures, 0);
-        assert_eq!(d.seen, c.seen);
-        assert!(d.frontier.is_empty(), "legacy checkpoints resume frontier-free");
-        assert_eq!(d.driver, DriverKind::Greedy, "legacy checkpoints decode as greedy");
-        assert!(d.mcts.is_none());
-        // And a v1 checkpoint re-encodes as v4.
-        assert!(d.encode().starts_with("magis-checkpoint v4\n"));
-    }
-
-    #[test]
-    fn v2_checkpoints_still_decode() {
-        let s = small_state();
-        let c = checkpoint_of(&s);
-        // v2 is v4 minus the driver line and next_seq/frontier
-        // sections, under the old header.
-        let v2_text: String = c
-            .encode()
-            .lines()
-            .filter(|l| *l != "next_seq 0" && *l != "frontier 0" && *l != "driver greedy")
-            .map(|l| {
-                if l == "magis-checkpoint v4" {
-                    "magis-checkpoint v2".to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let d = SearchCheckpoint::decode(&v2_text).unwrap();
-        assert_eq!(d.counters, c.counters);
-        assert_eq!(d.seen, c.seen);
-        assert_eq!(d.best_order, c.best_order);
-        assert!(d.frontier.is_empty());
-        assert_eq!(d.next_seq, 0);
-        assert!(d.encode().starts_with("magis-checkpoint v4\n"));
-    }
-
-    #[test]
-    fn v3_checkpoints_still_decode() {
+        assert_eq!(d.driver, DriverKind::Mcts);
+        assert_eq!(d.mcts.as_ref().map(|m| m.nodes.len()), Some(1));
         let ctx = EvalContext::default();
-        let s = small_state();
-        let mut c = checkpoint_of(&s);
-        c.next_seq = 3;
-        c.frontier = vec![frontier_entry_of(&s, 1, false)];
-        // v3 is v4 minus the driver line, under the old header; the
-        // next_seq/frontier sections are present.
-        let v3_text: String = c
-            .encode()
-            .lines()
-            .filter(|l| *l != "driver greedy")
-            .map(|l| {
-                if l == "magis-checkpoint v4" {
-                    "magis-checkpoint v3".to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let d = SearchCheckpoint::decode(&v3_text).unwrap();
-        assert_eq!(d.driver, DriverKind::Greedy, "v3 checkpoints decode as greedy");
-        assert!(d.mcts.is_none());
-        assert_eq!(d.next_seq, 3);
-        assert_eq!(d.frontier.len(), 1, "v3 frontiers still restore exactly");
+        assert_eq!(d.restore_state(&ctx).unwrap().eval.peak_bytes, d.best_cost.0);
         assert_eq!(d.restore_frontier(&ctx).unwrap().len(), 1);
-        assert!(d.encode().starts_with("magis-checkpoint v4\n"));
+    }
+
+    #[test]
+    fn retired_versions_are_rejected() {
+        for v in ["v1", "v2", "v3"] {
+            let text = V4_FIXTURE.replacen("v4", v, 1);
+            let err = SearchCheckpoint::decode(&text).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unsupported checkpoint version {v}; this build reads v4")),
+                "{v}: {err}"
+            );
+        }
+        let err = SearchCheckpoint::decode("not-a-checkpoint\n").unwrap_err().to_string();
+        assert!(err.contains("bad header"), "{err}");
+    }
+
+    #[test]
+    fn oversized_counts_are_errors_not_aborts() {
+        let lines: Vec<&str> = V4_FIXTURE.lines().collect();
+        let keys = [
+            "pareto",
+            "seen",
+            "quarantine",
+            "order",
+            "ftree",
+            "frontier",
+            "mcts",
+            "base-graph",
+            "eval-graph",
+        ];
+        for key in keys {
+            let at = lines.iter().position(|l| l.split(' ').next() == Some(key)).unwrap();
+            for huge in [1u64 << 40, u64::MAX] {
+                let mut toks: Vec<String> = lines[at].split(' ').map(str::to_string).collect();
+                toks[1] = huge.to_string();
+                let mut edited = lines.clone();
+                let line = toks.join(" ");
+                edited[at] = &line;
+                let text = edited.join("\n") + "\n";
+                assert!(SearchCheckpoint::decode(&text).is_err(), "{key} {huge}");
+                // The same count at the very end of a truncated file.
+                let cut = edited[..=at].join("\n") + "\n";
+                assert!(SearchCheckpoint::decode(&cut).is_err(), "{key} {huge} truncated");
+            }
+        }
     }
 
     #[test]
@@ -1144,7 +1080,7 @@ mod tests {
     fn decode_rejects_corruption() {
         let s = small_state();
         let text = checkpoint_of(&s).encode();
-        // Bad header (no known version).
+        // Unknown version.
         assert!(SearchCheckpoint::decode(&text.replacen("v4", "v9", 1)).is_err());
         // Truncation (drop the footer and graph tail).
         let cut = &text[..text.len() / 2];

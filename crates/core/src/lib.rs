@@ -55,8 +55,7 @@ pub mod state;
 
 pub use budget::{CancelToken, SearchBudget};
 pub use checkpoint::{
-    CheckpointCounters, CheckpointError, FrontierEntry, MctsCheckpoint, MctsNodeMeta,
-    SearchCheckpoint,
+    CheckpointError, FrontierEntry, MctsCheckpoint, MctsNodeMeta, SearchCheckpoint,
 };
 pub use driver::{DriverFrontier, DriverKind, SearchDriver, StepOutcome};
 pub use eval_cache::EvalCache;

@@ -75,9 +75,7 @@
 //!   killed search from its last checkpoint.
 
 use crate::budget::{CancelToken, SearchBudget};
-use crate::checkpoint::{
-    CheckpointCounters, CheckpointError, MctsCheckpoint, SearchCheckpoint,
-};
+use crate::checkpoint::{CheckpointError, MctsCheckpoint, SearchCheckpoint};
 use crate::driver::{DriverFrontier, DriverKind, GreedyDriver, MctsDriver, SearchDriver, StepOutcome};
 use crate::eval_cache::EvalCache;
 use crate::pareto::ParetoSet;
@@ -100,6 +98,36 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+/// Reads one count out of [`OptimizerStats`].
+type StatField = fn(&OptimizerStats) -> usize;
+
+/// Every count the search publishes as a `magis_core_*` counter, with
+/// the [`OptimizerStats`] field it mirrors. The stats are the only
+/// record of these counts: [`Engine::publish`] adds each field's growth
+/// since the previous publish to its counter, at every expansion
+/// boundary and once at search end.
+const PUBLISHED: [(&str, StatField); 19] = [
+    ("magis_core_expansions", |s| s.expanded),
+    ("magis_core_candidates", |s| s.candidates),
+    ("magis_core_evaluated", |s| s.evaluated),
+    ("magis_core_filtered", |s| s.filtered),
+    ("magis_core_panicked", |s| s.panicked),
+    ("magis_core_cost_rejections", |s| s.cost_rejections),
+    ("magis_core_invariant_rejections", |s| s.invariant_rejections),
+    ("magis_core_quarantined_candidates", |s| s.quarantined_candidates),
+    ("magis_core_quarantined_families", |s| s.families_quarantined),
+    ("magis_core_queue_pushes", |s| s.queue_pushes),
+    ("magis_core_incumbent_improvements", |s| s.incumbent_improvements),
+    ("magis_core_checkpoints_written", |s| s.checkpoints_written),
+    ("magis_core_checkpoint_failures", |s| s.checkpoint_failures),
+    ("magis_core_eval_cache_hits", |s| s.eval_cache_hits),
+    ("magis_core_eval_cache_misses", |s| s.eval_cache_misses),
+    ("magis_core_eval_cache_evictions", |s| s.eval_cache_evictions),
+    ("magis_core_eval_cache_purged", |s| s.eval_cache_purged),
+    ("magis_core_incremental_evals", |s| s.incremental_evals),
+    ("magis_core_incremental_carried_wins", |s| s.incremental_carried_wins),
+];
+
 /// Global metric handles (`magis_core_*`), looked up once. All of
 /// these are updated exclusively on the merge thread, so their values
 /// are bit-identical across `--threads 1` vs `N` (see the module docs'
@@ -108,25 +136,8 @@ use std::time::{Duration, Instant};
 struct CoreObs {
     searches: Counter,
     resumes: Counter,
-    expansions: Counter,
-    candidates: Counter,
-    evaluated: Counter,
-    filtered: Counter,
-    panicked: Counter,
-    cost_rejections: Counter,
-    invariant_rejections: Counter,
-    quarantined_candidates: Counter,
-    quarantined_families: Counter,
-    queue_pushes: Counter,
-    incumbent_improvements: Counter,
-    checkpoints_written: Counter,
-    checkpoint_failures: Counter,
-    eval_cache_hits: Counter,
-    eval_cache_misses: Counter,
-    eval_cache_evictions: Counter,
-    eval_cache_purged: Counter,
-    incremental_evals: Counter,
-    incremental_carried_wins: Counter,
+    /// One counter per [`PUBLISHED`] row, in table order.
+    published: [Counter; PUBLISHED.len()],
     incremental_window: Histogram,
     expansion_seconds: Histogram,
     best_peak_bytes: Gauge,
@@ -141,25 +152,7 @@ fn core_obs() -> &'static CoreObs {
     OBS.get_or_init(|| CoreObs {
         searches: counter("magis_core_searches"),
         resumes: counter("magis_core_resumes"),
-        expansions: counter("magis_core_expansions"),
-        candidates: counter("magis_core_candidates"),
-        evaluated: counter("magis_core_evaluated"),
-        filtered: counter("magis_core_filtered"),
-        panicked: counter("magis_core_panicked"),
-        cost_rejections: counter("magis_core_cost_rejections"),
-        invariant_rejections: counter("magis_core_invariant_rejections"),
-        quarantined_candidates: counter("magis_core_quarantined_candidates"),
-        quarantined_families: counter("magis_core_quarantined_families"),
-        queue_pushes: counter("magis_core_queue_pushes"),
-        incumbent_improvements: counter("magis_core_incumbent_improvements"),
-        checkpoints_written: counter("magis_core_checkpoints_written"),
-        checkpoint_failures: counter("magis_core_checkpoint_failures"),
-        eval_cache_hits: counter("magis_core_eval_cache_hits"),
-        eval_cache_misses: counter("magis_core_eval_cache_misses"),
-        eval_cache_evictions: counter("magis_core_eval_cache_evictions"),
-        eval_cache_purged: counter("magis_core_eval_cache_purged"),
-        incremental_evals: counter("magis_core_incremental_evals"),
-        incremental_carried_wins: counter("magis_core_incremental_carried_wins"),
+        published: PUBLISHED.map(|(name, _)| counter(name)),
         incremental_window: histogram("magis_core_incremental_window"),
         expansion_seconds: histogram("magis_core_expansion_seconds"),
         best_peak_bytes: gauge("magis_core_best_peak_bytes"),
@@ -431,6 +424,21 @@ pub struct ProgressSnapshot {
     pub phase: &'static str,
 }
 
+impl ProgressSnapshot {
+    /// The timeline point recorded at the same boundary.
+    fn timeline_point(&self, elapsed: Duration) -> TimelinePoint {
+        TimelinePoint {
+            expansion: self.expansion,
+            evaluated: self.evaluated,
+            best_peak_bytes: self.best_peak_bytes,
+            best_latency: self.best_latency,
+            frontier_size: self.frontier_size,
+            pareto_size: self.pareto_size,
+            elapsed_us: elapsed.as_micros() as u64,
+        }
+    }
+}
+
 /// Consumer of [`ProgressSnapshot`]s. Implementations must be cheap
 /// and non-blocking — `report` runs on the merge thread between
 /// expansions, so a slow sink slows the search (but can never perturb
@@ -617,8 +625,11 @@ impl OptimizerConfig {
     }
 }
 
-/// Per-phase time accounting (Fig. 15) plus hardening counters.
-#[derive(Debug, Clone, Default)]
+/// Per-phase time accounting (Fig. 15) plus every search count: the
+/// single record that feeds checkpoints (ten persisted counts, see
+/// [`crate::checkpoint`]), the `magis_core_*` counters, and progress
+/// snapshots.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OptimizerStats {
     /// Time spent applying transformations. With `threads > 1` this is
     /// CPU time summed over workers, not wall-clock.
@@ -681,6 +692,20 @@ pub struct OptimizerStats {
     pub eval_cache_evictions: usize,
     /// Cache entries purged because their rule family was quarantined.
     pub eval_cache_purged: usize,
+    /// Evaluated children the driver retained (greedy queue pushes,
+    /// MCTS tree nodes).
+    pub queue_pushes: usize,
+    /// Times the incumbent improved during the search (the final
+    /// polish is not counted).
+    pub incumbent_improvements: usize,
+    /// Cache misses evaluated by incremental rescheduling.
+    pub incremental_evals: usize,
+    /// Incremental evaluations where the carried-over old order beat
+    /// the rescheduled window.
+    pub incremental_carried_wins: usize,
+    /// Rule families that crossed the quarantine threshold during this
+    /// run (not persisted in checkpoints).
+    pub families_quarantined: usize,
 }
 
 /// A point on the search's progress curve.
@@ -991,11 +1016,13 @@ const _: () = {
 /// loaded from a [`SearchCheckpoint`] by [`resume`].
 struct SearchSeed {
     seed_cost: (u64, f64),
-    counters: CheckpointCounters,
+    /// The counts to continue from, with `resumed` set and `driver`
+    /// naming the engine to run (fresh searches: the config's choice;
+    /// resumed ones: the checkpoint's).
+    stats: OptimizerStats,
     pareto: Vec<(u64, f64)>,
     seen: Vec<u64>,
     quarantine: Vec<(u8, u32)>,
-    resumed: bool,
     /// Restored driver-frontier entries `(seq, state)` from a
     /// frontier-bearing checkpoint (queue entries for greedy, tree
     /// nodes for MCTS). Non-empty switches resume to trajectory-exact
@@ -1004,9 +1031,6 @@ struct SearchSeed {
     frontier: Vec<(u64, MState)>,
     /// The sequence counter to continue from in trajectory-exact mode.
     next_seq: u64,
-    /// Which driver produced the checkpoint (fresh searches: the
-    /// config's choice).
-    driver: DriverKind,
     /// MCTS tree metadata from a frontier-bearing MCTS checkpoint.
     mcts: Option<MctsCheckpoint>,
 }
@@ -1015,14 +1039,12 @@ impl SearchSeed {
     fn fresh(seed_cost: (u64, f64), driver: DriverKind) -> Self {
         SearchSeed {
             seed_cost,
-            counters: CheckpointCounters::default(),
+            stats: OptimizerStats { driver, ..OptimizerStats::default() },
             pareto: Vec::new(),
             seen: Vec::new(),
             quarantine: Vec::new(),
-            resumed: false,
             frontier: Vec::new(),
             next_seq: 0,
-            driver,
             mcts: None,
         }
     }
@@ -1081,84 +1103,33 @@ pub fn resume(ckpt: &SearchCheckpoint, cfg: &OptimizerConfig) -> Result<Optimize
     }
     let seed = SearchSeed {
         seed_cost: ckpt.seed_cost,
-        counters: ckpt.counters,
+        stats: OptimizerStats { resumed: true, driver: ckpt.driver, ..ckpt.counters.clone() },
         pareto: ckpt.pareto.clone(),
         seen: ckpt.seen.clone(),
         quarantine: ckpt.quarantine.clone(),
-        resumed: true,
         frontier,
         next_seq: ckpt.next_seq,
-        driver: ckpt.driver,
         mcts: ckpt.mcts.clone(),
     };
     Ok(run_search(best, seed, cfg))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    policy: &CheckpointPolicy,
-    best: &MState,
-    seed_cost: (u64, f64),
-    rng_seed: u64,
-    pareto: &ParetoSet,
-    seen: &ShardedSet,
-    quarantine: &Quarantine,
-    stats: &OptimizerStats,
-    driver: DriverKind,
-    frontier: Option<DriverFrontier>,
-) -> Result<(), CheckpointError> {
-    let (best_order, ftree_nodes, base_record, eval_record) =
-        SearchCheckpoint::snapshot_state(best);
-    // Frontier capture: the driver serialized its complete strategy
-    // state (queue entries or tree nodes + metadata) into the
-    // snapshot; non-frontier checkpoints persist the incumbent only.
-    let (next_seq, frontier, mcts) = match frontier {
-        Some(f) => (f.next_seq, f.entries, f.mcts),
-        None => (0, Vec::new(), None),
-    };
-    let ckpt = SearchCheckpoint {
-        rng_seed,
-        seed_cost,
-        best_cost: best.cost(),
-        counters: CheckpointCounters {
-            expanded: stats.expanded as u64,
-            evaluated: stats.evaluated as u64,
-            candidates: stats.candidates as u64,
-            filtered: stats.filtered as u64,
-            panicked: stats.panicked as u64,
-            cost_rejections: stats.cost_rejections as u64,
-            invariant_rejections: stats.invariant_rejections as u64,
-            quarantined_candidates: stats.quarantined_candidates as u64,
-            checkpoints_written: stats.checkpoints_written as u64,
-            checkpoint_failures: stats.checkpoint_failures as u64,
-        },
-        pareto: pareto.points().to_vec(),
-        seen: seen.snapshot(),
-        quarantine: quarantine.entries(),
-        best_order,
-        ftree_nodes,
-        base_record,
-        eval_record,
-        next_seq,
-        frontier,
-        driver,
-        mcts,
-    };
-    ckpt.write_to(&policy.path)
-}
-
 /// Strikes `family` and, once the family is quarantined, purges its
 /// entries from the evaluation cache — a distrusted rule's cached
-/// results must not resurrect through future hash hits. Returns the
-/// number of cache entries purged.
-fn strike_family(quarantine: &mut Quarantine, cache: &mut EvalCache, family: u8) -> usize {
+/// results must not resurrect through future hash hits. Purged entries
+/// and a newly quarantined family are counted in `stats`.
+fn strike_family(
+    quarantine: &mut Quarantine,
+    cache: &mut EvalCache,
+    stats: &mut OptimizerStats,
+    family: u8,
+) {
     let before = quarantine.is_quarantined(family);
     quarantine.strike(family);
-    let mut purged = 0;
     if quarantine.is_quarantined(family) {
-        purged = cache.purge_family(family);
+        stats.eval_cache_purged += cache.purge_family(family);
         if !before {
-            core_obs().quarantined_families.inc();
+            stats.families_quarantined += 1;
             magis_obs::event!(
                 "magis_core",
                 "quarantine",
@@ -1166,7 +1137,6 @@ fn strike_family(quarantine: &mut Quarantine, cache: &mut EvalCache, family: u8)
             );
         }
     }
-    purged
 }
 
 /// The strategy-agnostic search machinery handed to a
@@ -1182,12 +1152,12 @@ fn strike_family(quarantine: &mut Quarantine, cache: &mut EvalCache, family: u8)
 pub struct Engine<'a> {
     cfg: &'a OptimizerConfig,
     start: Instant,
-    threads: usize,
     eval_cap: usize,
     candidate_limit: usize,
     seed_cost: (u64, f64),
-    driver_kind: DriverKind,
     stats: OptimizerStats,
+    /// `stats` as of the last [`Engine::publish`].
+    published: OptimizerStats,
     timeline: SearchTimeline,
     pareto: ParetoSet,
     history: Vec<ProgressPoint>,
@@ -1259,7 +1229,6 @@ impl<'a> Engine<'a> {
         self.stats.hash_time += t0.elapsed();
         if !self.seen.insert(h) {
             self.stats.filtered += 1;
-            core_obs().filtered.inc();
             return false;
         }
         true
@@ -1271,9 +1240,7 @@ impl<'a> Engine<'a> {
     /// by [`Transform::sort_key`] so the fan-out order (and therefore
     /// the whole trajectory) is a pure function of the state.
     pub fn begin(&mut self, state: &mut MState) -> Vec<Transform> {
-        let obs = core_obs();
         self.stats.expanded += 1;
-        obs.expansions.inc();
         if let Some(tok) = &self.cfg.cancel {
             tok.beat();
         }
@@ -1287,16 +1254,13 @@ impl<'a> Engine<'a> {
         // Quarantined rule families stop being explored entirely.
         let before = candidates.len();
         candidates.retain(|t| !self.quarantine.is_quarantined(t.sort_key().0));
-        let dropped = before - candidates.len();
-        self.stats.quarantined_candidates += dropped;
-        obs.quarantined_candidates.add(dropped as u64);
+        self.stats.quarantined_candidates += before - candidates.len();
         // Fix the batch order before the fan-out: the merge in
         // `evaluate` consumes results in this order, making the
         // trajectory independent of thread count and generation order.
         candidates.sort_by_key(Transform::sort_key);
         self.stats.trans_time += t0.elapsed();
         self.stats.candidates += candidates.len();
-        obs.candidates.add(candidates.len() as u64);
         for t in &candidates {
             self.timeline.family_mut(rules::family_name(t.sort_key().0)).proposed += 1;
         }
@@ -1331,7 +1295,6 @@ impl<'a> Engine<'a> {
         dedup: bool,
         retain: &mut dyn FnMut(usize, MState, (u64, f64), (u64, f64)) -> bool,
     ) -> usize {
-        let obs = core_obs();
         let exp_no_u64 = self.stats.expanded as u64;
         let cfg = self.cfg;
         let start = self.start;
@@ -1371,7 +1334,7 @@ impl<'a> Engine<'a> {
             // the join), so relaxed ordering suffices.
             let evaluated = AtomicUsize::new(0);
             let claim = || stop_now().is_none() && evaluated.load(AtomicOrdering::Relaxed) < remaining;
-            parallel::par_map(self.threads, candidates, claim, |i, t| {
+            parallel::par_map(self.stats.threads, candidates, claim, |i, t| {
                 let o = eval(i, t);
                 if matches!(o, CandOutcome::Evaluated { .. }) {
                     evaluated.fetch_add(1, AtomicOrdering::Relaxed);
@@ -1443,28 +1406,31 @@ impl<'a> Engine<'a> {
                 CandOutcome::Panicked { trans } => {
                     self.stats.trans_time += trans;
                     self.stats.panicked += 1;
-                    obs.panicked.inc();
                     reject("panicked", trans);
-                    let purged = strike_family(&mut self.quarantine, &mut self.eval_cache, family);
-                    self.stats.eval_cache_purged += purged;
-                    obs.eval_cache_purged.add(purged as u64);
+                    strike_family(
+                        &mut self.quarantine,
+                        &mut self.eval_cache,
+                        &mut self.stats,
+                        family,
+                    );
                 }
                 CandOutcome::BadCost { trans, sched_sim } => {
                     self.stats.trans_time += trans;
                     self.stats.sched_sim_time += sched_sim;
                     self.stats.cost_rejections += 1;
-                    obs.cost_rejections.inc();
                     reject("bad-cost", trans + sched_sim);
                 }
                 CandOutcome::Invalid { trans, sched_sim } => {
                     self.stats.trans_time += trans;
                     self.stats.sched_sim_time += sched_sim;
                     self.stats.invariant_rejections += 1;
-                    obs.invariant_rejections.inc();
                     reject("invalid", trans + sched_sim);
-                    let purged = strike_family(&mut self.quarantine, &mut self.eval_cache, family);
-                    self.stats.eval_cache_purged += purged;
-                    obs.eval_cache_purged.add(purged as u64);
+                    strike_family(
+                        &mut self.quarantine,
+                        &mut self.eval_cache,
+                        &mut self.stats,
+                        family,
+                    );
                 }
                 CandOutcome::Evaluated { child, hash, cache_hit, tainted, trans, sched_sim, hash_t } => {
                     self.stats.trans_time += trans;
@@ -1472,7 +1438,6 @@ impl<'a> Engine<'a> {
                     self.stats.hash_time += hash_t;
                     merged += 1;
                     self.stats.evaluated += 1;
-                    obs.evaluated.inc();
                     if let Some(tok) = &cfg.cancel {
                         tok.beat();
                     }
@@ -1483,7 +1448,6 @@ impl<'a> Engine<'a> {
                     // contents and counters are deterministic.
                     if cache_hit {
                         self.stats.eval_cache_hits += 1;
-                        obs.eval_cache_hits.inc();
                         // LRU refresh: recency only ever advances here,
                         // on the merge thread in candidate order, so
                         // eviction stays bit-identical across thread
@@ -1499,17 +1463,14 @@ impl<'a> Engine<'a> {
                         );
                     } else {
                         self.stats.eval_cache_misses += 1;
-                        obs.eval_cache_misses.inc();
                         // Per-candidate instrumentation is suppressed in
                         // the evaluation sandbox; re-attribute the
-                        // incremental-scheduling counters here (merge
+                        // incremental-scheduling counts here (merge
                         // thread, candidate order -> deterministic).
                         if let Some(inc) = child.eval.inc {
-                            obs.incremental_evals.inc();
-                            if inc.carried_won {
-                                obs.incremental_carried_wins.inc();
-                            }
-                            obs.incremental_window.observe(inc.window as f64);
+                            self.stats.incremental_evals += 1;
+                            self.stats.incremental_carried_wins += usize::from(inc.carried_won);
+                            core_obs().incremental_window.observe(inc.window as f64);
                         }
                         // Tainted children (post-eval fault injections)
                         // and quarantined families are never cached.
@@ -1521,7 +1482,6 @@ impl<'a> Engine<'a> {
                                 cfg.ctx.mem_objective,
                             );
                             self.stats.eval_cache_evictions += evicted;
-                            obs.eval_cache_evictions.add(evicted as u64);
                         }
                     }
 
@@ -1530,7 +1490,6 @@ impl<'a> Engine<'a> {
                     // as legitimate tree branches).
                     if dedup && self.seen.contains(hash) {
                         self.stats.filtered += 1;
-                        obs.filtered.inc();
                         reject("duplicate", eval_dur);
                         continue;
                     }
@@ -1547,11 +1506,13 @@ impl<'a> Engine<'a> {
                         && check_invariants(&child, &cfg.ctx).is_err()
                     {
                         self.stats.invariant_rejections += 1;
-                        obs.invariant_rejections.inc();
                         reject("invalid", eval_dur);
-                        let purged = strike_family(&mut self.quarantine, &mut self.eval_cache, family);
-                        self.stats.eval_cache_purged += purged;
-                        obs.eval_cache_purged.add(purged as u64);
+                        strike_family(
+                            &mut self.quarantine,
+                            &mut self.eval_cache,
+                            &mut self.stats,
+                            family,
+                        );
                         continue;
                     }
                     self.pareto.insert(cost.0, cost.1);
@@ -1562,7 +1523,7 @@ impl<'a> Engine<'a> {
                             peak_bytes: cost.0,
                             latency: cost.1,
                         });
-                        obs.incumbent_improvements.inc();
+                        self.stats.incumbent_improvements += 1;
                         magis_obs::event!(
                             "magis_core",
                             "incumbent",
@@ -1577,7 +1538,7 @@ impl<'a> Engine<'a> {
                     // mid-batch, exactly like Algorithm 3).
                     let best_cost = self.best.cost();
                     if retain(i, *child, cost, best_cost) {
-                        obs.queue_pushes.inc();
+                        self.stats.queue_pushes += 1;
                         outcome_counter(family, "accept").inc();
                         eval_span("accept", eval_dur);
                         magis_obs::event!(
@@ -1608,43 +1569,26 @@ impl<'a> Engine<'a> {
 
     /// Expansion-boundary bookkeeping: timeline point + Pareto record,
     /// gauges, the expansion histogram and trace span, the progress
-    /// snapshot, and the periodic checkpoint (calling `snapshot` for
-    /// the driver's frontier when the policy captures one). Drivers
-    /// call this exactly once per completed step.
+    /// snapshot, the periodic checkpoint (calling `snapshot` for the
+    /// driver's frontier when the policy captures one), and the counter
+    /// publish. Drivers call this exactly once per completed step.
     pub fn boundary(&mut self, frontier_size: u64, snapshot: &mut dyn FnMut() -> DriverFrontier) {
         let obs = core_obs();
-        let exp_no_u64 = self.stats.expanded as u64;
+        let cfg = self.cfg;
         let front = self.pareto.front();
-        self.timeline.record_pareto(exp_no_u64, front.clone());
-        self.timeline.record_point(TimelinePoint {
-            expansion: exp_no_u64,
-            evaluated: self.stats.evaluated as u64,
-            best_peak_bytes: self.best.eval.peak_bytes,
-            best_latency: self.best.eval.latency,
-            frontier_size,
-            pareto_size: front.len() as u64,
-            elapsed_us: self.start.elapsed().as_micros() as u64,
-        });
+        let snap = self.progress(frontier_size, front.len(), "search");
+        self.timeline.record_pareto(snap.expansion, front);
+        self.timeline.record_point(snap.timeline_point(self.start.elapsed()));
         obs.best_peak_bytes.set(self.best.eval.peak_bytes as f64);
         obs.best_latency.set(self.best.eval.latency);
         obs.frontier_size.set(frontier_size as f64);
         obs.eval_cache_size.set(self.eval_cache.len() as f64);
         obs.expansion_seconds.observe_duration(self.exp_t0.elapsed());
-        if let Some(hook) = &self.cfg.progress {
+        if let Some(hook) = &cfg.progress {
             // Reported after the whole batch merged, on the merge
             // thread, outside any suppression gate — snapshot contents
             // are deterministic (see the determinism contract).
-            hook.0.report(&ProgressSnapshot {
-                expansion: exp_no_u64,
-                evaluated: self.stats.evaluated as u64,
-                best_peak_bytes: self.best.eval.peak_bytes,
-                best_planned_peak_bytes: self.best.eval.plan.as_ref().map(|p| p.planned_peak_bytes),
-                best_latency: self.best.eval.latency,
-                frontier_size,
-                pareto_size: front.len() as u64,
-                eval_cache_hits: self.stats.eval_cache_hits as u64,
-                phase: "search",
-            });
+            hook.0.report(&snap);
         }
         if magis_obs::trace::enabled() {
             magis_obs::trace::span_with_dur(
@@ -1652,46 +1596,104 @@ impl<'a> Engine<'a> {
                 "expansion",
                 self.exp_t0.elapsed(),
                 magis_obs::fields!(
-                    expansion = exp_no_u64,
+                    expansion = snap.expansion,
                     candidates = self.last_candidates,
                     merged = self.last_merged,
                     frontier = frontier_size,
                 ),
             );
         }
-
-        if let Some(policy) = &self.cfg.checkpoint {
+        if let Some(policy) = &cfg.checkpoint {
             if self.stats.evaluated - self.evals_at_last_ckpt >= policy.every_evals {
                 self.evals_at_last_ckpt = self.stats.evaluated;
-                let frontier = if policy.frontier { Some(snapshot()) } else { None };
-                let ok = write_checkpoint(
-                    policy,
-                    &self.best,
-                    self.seed_cost,
-                    self.cfg.seed,
-                    &self.pareto,
-                    &self.seen,
-                    &self.quarantine,
-                    &self.stats,
-                    self.driver_kind,
-                    frontier,
-                )
-                .is_ok();
-                if ok {
-                    self.stats.checkpoints_written += 1;
-                    obs.checkpoints_written.inc();
-                } else {
-                    // Non-fatal: a full disk must not kill the search.
-                    self.stats.checkpoint_failures += 1;
-                    obs.checkpoint_failures.inc();
-                }
-                magis_obs::event!(
-                    "magis_core",
-                    "checkpoint",
-                    expansion = exp_no_u64,
-                    ok = ok,
-                );
+                self.checkpoint(policy.frontier.then(snapshot), "boundary");
             }
+        }
+        self.publish();
+    }
+
+    /// The progress snapshot of the search as it stands.
+    fn progress(&self, frontier: u64, pareto: usize, phase: &'static str) -> ProgressSnapshot {
+        ProgressSnapshot {
+            expansion: self.stats.expanded as u64,
+            evaluated: self.stats.evaluated as u64,
+            best_peak_bytes: self.best.eval.peak_bytes,
+            best_planned_peak_bytes: self.best.eval.plan.as_ref().map(|p| p.planned_peak_bytes),
+            best_latency: self.best.eval.latency,
+            frontier_size: frontier,
+            pareto_size: pareto as u64,
+            eval_cache_hits: self.stats.eval_cache_hits as u64,
+            phase,
+        }
+    }
+
+    /// Adds the counts accumulated since the previous publish to the
+    /// `magis_core_*` counters (see [`PUBLISHED`]). The first publish
+    /// of a resumed search therefore also re-adds the checkpointed
+    /// counts, keeping the counters cumulative over the whole search.
+    fn publish(&mut self) {
+        for ((_, field), counter) in PUBLISHED.iter().zip(&core_obs().published) {
+            counter.add((field(&self.stats) - field(&self.published)) as u64);
+        }
+        self.published = self.stats.clone();
+    }
+
+    /// Writes a checkpoint under the configured policy (a no-op without
+    /// one) and counts the outcome. A failed write is non-fatal: a full
+    /// disk must not kill the search. `frontier` is the driver's
+    /// frontier for a trajectory-exact checkpoint, `None` for an
+    /// incumbent-only one.
+    fn checkpoint(&mut self, frontier: Option<DriverFrontier>, at: &'static str) {
+        let Some(policy) = &self.cfg.checkpoint else { return };
+        let (best_order, ftree_nodes, base_record, eval_record) =
+            SearchCheckpoint::snapshot_state(&self.best);
+        let (next_seq, frontier, mcts) = match frontier {
+            Some(f) => (f.next_seq, f.entries, f.mcts),
+            None => (0, Vec::new(), None),
+        };
+        let ckpt = SearchCheckpoint {
+            rng_seed: self.cfg.seed,
+            seed_cost: self.seed_cost,
+            best_cost: self.best.cost(),
+            counters: self.stats.clone(),
+            pareto: self.pareto.points().to_vec(),
+            seen: self.seen.snapshot(),
+            quarantine: self.quarantine.entries(),
+            best_order,
+            ftree_nodes,
+            base_record,
+            eval_record,
+            next_seq,
+            frontier,
+            driver: self.stats.driver,
+            mcts,
+        };
+        let ok = ckpt.write_to(&policy.path).is_ok();
+        if ok {
+            self.stats.checkpoints_written += 1;
+        } else {
+            self.stats.checkpoint_failures += 1;
+        }
+        magis_obs::event!(
+            "magis_core",
+            "checkpoint",
+            expansion = self.stats.expanded,
+            ok = ok,
+            at = at,
+        );
+    }
+
+    /// Final polish: reschedules the incumbent with the full-quality
+    /// beam and keeps whichever is better.
+    fn polish(&mut self) {
+        let cfg = self.cfg;
+        let polished = self.best.rescheduled(&cfg.ctx);
+        if cfg.objective.better_than(polished.cost(), self.best.cost(), 1.0)
+            && (cfg.paranoia == ParanoiaLevel::Off || check_invariants(&polished, &cfg.ctx).is_ok())
+        {
+            let (p_peak, p_lat) = polished.cost();
+            self.pareto.insert(p_peak, p_lat);
+            self.best = polished;
         }
     }
 }
@@ -1701,42 +1703,16 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
     let threads = cfg.threads.max(1);
     let obs = core_obs();
     obs.searches.inc();
-    let stats = OptimizerStats {
-        threads,
-        driver: seed.driver,
-        resumed: seed.resumed,
-        expanded: seed.counters.expanded as usize,
-        candidates: seed.counters.candidates as usize,
-        evaluated: seed.counters.evaluated as usize,
-        filtered: seed.counters.filtered as usize,
-        panicked: seed.counters.panicked as usize,
-        cost_rejections: seed.counters.cost_rejections as usize,
-        invariant_rejections: seed.counters.invariant_rejections as usize,
-        quarantined_candidates: seed.counters.quarantined_candidates as usize,
-        checkpoints_written: seed.counters.checkpoints_written as usize,
-        checkpoint_failures: seed.counters.checkpoint_failures as usize,
-        ..OptimizerStats::default()
-    };
-    if seed.resumed {
-        // Continue cumulative metrics from the checkpointed counters so
-        // a resumed run's snapshot covers the whole logical search.
+    // A resumed search continues the checkpointed counts; its first
+    // publish re-adds them to the counters.
+    let stats = OptimizerStats { threads, ..seed.stats };
+    if stats.resumed {
         obs.resumes.inc();
-        let c = &seed.counters;
-        obs.expansions.add(c.expanded);
-        obs.candidates.add(c.candidates);
-        obs.evaluated.add(c.evaluated);
-        obs.filtered.add(c.filtered);
-        obs.panicked.add(c.panicked);
-        obs.cost_rejections.add(c.cost_rejections);
-        obs.invariant_rejections.add(c.invariant_rejections);
-        obs.quarantined_candidates.add(c.quarantined_candidates);
-        obs.checkpoints_written.add(c.checkpoints_written);
-        obs.checkpoint_failures.add(c.checkpoint_failures);
         magis_obs::event!(
             "magis_core",
             "resume",
-            expanded = c.expanded,
-            evaluated = c.evaluated,
+            expanded = stats.expanded,
+            evaluated = stats.evaluated,
         );
     }
     let timeline = SearchTimeline::new();
@@ -1789,7 +1765,7 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
     // The driver owns the strategy state (greedy queue or MCTS tree);
     // everything else — evaluation, bookkeeping, observability,
     // checkpointing — lives on the engine below.
-    let mut driver: Box<dyn SearchDriver> = match seed.driver {
+    let mut driver: Box<dyn SearchDriver> = match stats.driver {
         DriverKind::Greedy => Box::new(GreedyDriver::new(
             cfg,
             init,
@@ -1811,7 +1787,6 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
     let mut engine = Engine {
         cfg,
         start,
-        threads,
         // The legacy `max_evals` knob truncates evaluation batches
         // mid-expansion. The `SearchBudget` candidate limit
         // deliberately does NOT: it is checked only at expansion
@@ -1826,8 +1801,8 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
         eval_cap: cfg.max_evals,
         candidate_limit: cfg.search_budget.candidate_limit.unwrap_or(usize::MAX),
         seed_cost: seed.seed_cost,
-        driver_kind: seed.driver,
         stats,
+        published: OptimizerStats::default(),
         timeline,
         pareto,
         history,
@@ -1871,71 +1846,18 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
     engine.stats.quarantine_strikes = engine.quarantine.entries();
     engine.stats.quarantined_families = engine.quarantine.quarantined_families();
 
-    // Frontier checkpoints are exact in-flight snapshots: the final one
-    // is written *before* the polish below, and the resumed run
-    // re-polishes at its own true end — that keeps kill/resume
-    // trajectories bit-identical to the uninterrupted run. Legacy
-    // (non-frontier) policies keep recording the polished incumbent.
+    // The final checkpoint. A frontier checkpoint is an exact
+    // in-flight snapshot, so it is written *before* the polish and the
+    // resumed run re-polishes at its own true end — that keeps
+    // kill/resume trajectories bit-identical to the uninterrupted run.
+    // An incumbent-only checkpoint records the polished incumbent.
     let frontier_mode = cfg.checkpoint.as_ref().is_some_and(|p| p.frontier);
-    if frontier_mode {
-        let policy = cfg.checkpoint.as_ref().expect("frontier_mode implies a policy");
-        let ok = write_checkpoint(
-            policy,
-            &engine.best,
-            engine.seed_cost,
-            cfg.seed,
-            &engine.pareto,
-            &engine.seen,
-            &engine.quarantine,
-            &engine.stats,
-            engine.driver_kind,
-            Some(driver.frontier_snapshot()),
-        )
-        .is_ok();
-        if ok {
-            engine.stats.checkpoints_written += 1;
-            obs.checkpoints_written.inc();
-        } else {
-            engine.stats.checkpoint_failures += 1;
-            obs.checkpoint_failures.inc();
-        }
-        magis_obs::event!("magis_core", "checkpoint", ok = ok, at = "final",);
-    }
-
-    // Final polish: reschedule the incumbent with the full-quality beam
-    // and keep whichever is better.
-    let polished = engine.best.rescheduled(&cfg.ctx);
-    if cfg.objective.better_than(polished.cost(), engine.best.cost(), 1.0)
-        && (cfg.paranoia == ParanoiaLevel::Off || check_invariants(&polished, &cfg.ctx).is_ok())
-    {
-        let (p_peak, p_lat) = polished.cost();
-        engine.pareto.insert(p_peak, p_lat);
-        engine.best = polished;
-    }
     if !frontier_mode {
-        if let Some(policy) = &cfg.checkpoint {
-            let ok = write_checkpoint(
-                policy,
-                &engine.best,
-                engine.seed_cost,
-                cfg.seed,
-                &engine.pareto,
-                &engine.seen,
-                &engine.quarantine,
-                &engine.stats,
-                engine.driver_kind,
-                None,
-            )
-            .is_ok();
-            if ok {
-                engine.stats.checkpoints_written += 1;
-                obs.checkpoints_written.inc();
-            } else {
-                engine.stats.checkpoint_failures += 1;
-                obs.checkpoint_failures.inc();
-            }
-            magis_obs::event!("magis_core", "checkpoint", ok = ok, at = "final",);
-        }
+        engine.polish();
+    }
+    engine.checkpoint(frontier_mode.then(|| driver.frontier_snapshot()), "final");
+    if frontier_mode {
+        engine.polish();
     }
     magis_obs::event!(
         "magis_core",
@@ -1944,22 +1866,13 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
         expanded = engine.stats.expanded,
         evaluated = engine.stats.evaluated,
     );
+    engine.publish();
     obs.best_peak_bytes.set(engine.best.eval.peak_bytes as f64);
     obs.best_latency.set(engine.best.eval.latency);
     if let Some(hook) = &cfg.progress {
         // Terminal snapshot: the post-polish incumbent. Deterministic
         // like every other snapshot — the polish itself is.
-        hook.0.report(&ProgressSnapshot {
-            expansion: engine.stats.expanded as u64,
-            evaluated: engine.stats.evaluated as u64,
-            best_peak_bytes: engine.best.eval.peak_bytes,
-            best_planned_peak_bytes: engine.best.eval.plan.as_ref().map(|p| p.planned_peak_bytes),
-            best_latency: engine.best.eval.latency,
-            frontier_size: driver.frontier_len(),
-            pareto_size: engine.pareto.front().len() as u64,
-            eval_cache_hits: engine.stats.eval_cache_hits as u64,
-            phase: "done",
-        });
+        hook.0.report(&engine.progress(driver.frontier_len(), engine.pareto.front().len(), "done"));
     }
     engine.timeline.memory_profile =
         memory_profile(&engine.best.eval.graph, &engine.best.eval.order).step_bytes;
@@ -2255,11 +2168,16 @@ mod tests {
         cache.insert(12, s.clone(), 4, lv);
         cache.insert(13, s, 5, lv);
         let mut q = Quarantine::new(2);
-        assert_eq!(strike_family(&mut q, &mut cache, 4), 0, "below threshold: no purge");
+        let mut stats = OptimizerStats::default();
+        strike_family(&mut q, &mut cache, &mut stats, 4);
+        assert_eq!(stats.eval_cache_purged, 0, "below threshold: no purge");
+        assert_eq!(stats.families_quarantined, 0);
         assert!(cache.get(11, lv).is_some());
         // Second strike quarantines family 4: its entries must go so a
         // later hash hit can't resurrect a distrusted rule's result.
-        assert_eq!(strike_family(&mut q, &mut cache, 4), 2);
+        strike_family(&mut q, &mut cache, &mut stats, 4);
+        assert_eq!(stats.eval_cache_purged, 2);
+        assert_eq!(stats.families_quarantined, 1);
         assert!(cache.get(11, lv).is_none() && cache.get(12, lv).is_none());
         assert!(cache.get(13, lv).is_some(), "other families keep their entries");
     }

@@ -44,8 +44,6 @@ pub use incremental::{
     IncrementalSchedule, IntervalParams,
 };
 pub use partition::partition;
-#[allow(deprecated)]
-pub use schedule::place_swaps_with;
 pub use schedule::{full_schedule, place_swaps, stabilize_order};
 pub use task::SchedTask;
 pub use validate::{validate_schedule, Schedule, ScheduleError};

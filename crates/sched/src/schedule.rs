@@ -97,16 +97,6 @@ pub fn positions(g: &Graph, order: &[NodeId]) -> HashMap<NodeId, usize> {
     order.iter().enumerate().map(|(i, &v)| (v, i)).collect()
 }
 
-/// [`place_swaps`] under its old concrete-source name.
-#[deprecated(since = "0.2.0", note = "`place_swaps` is now generic; call it directly")]
-pub fn place_swaps_with<C: magis_sim::NodeCost + ?Sized>(
-    g: &Graph,
-    order: &[NodeId],
-    cm: &C,
-) -> Vec<NodeId> {
-    place_swaps(g, order, cm)
-}
-
 /// Repositions swap operators per the paper's strategy (§6.2): every
 /// `Store` directly after its producer, every `Load` as late as its
 /// transfer time can still be hidden behind the intervening compute.

@@ -41,7 +41,7 @@ use magis_obs::metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 use magis_obs::trace::{self, JsonlSink};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -57,6 +57,13 @@ pub const TRACE_FILE: &str = "trace.jsonl";
 
 /// How often blocked loops re-check for shutdown/progress.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Longest request line the daemon reads, newline excluded; a longer
+/// one gets a 413 and the connection is closed. The largest real
+/// request, a submit carrying a bench model's graph record at scale
+/// 1.0, stays at least 4x below it (see the unit test).
+pub const MAX_LINE: usize = 1 << 20;
+
 /// Cadence of `progress` events streamed to waiting clients.
 const PROGRESS_EVERY: Duration = Duration::from_millis(200);
 
@@ -703,19 +710,32 @@ fn watchdog_loop(inner: &Inner) {
 
 /// Buffered line reader over a read-timeout socket: tolerates timeouts
 /// mid-line and checks `stop` between reads so handler threads exit
-/// when the server closes.
+/// when the server closes. A line longer than [`MAX_LINE`] is an
+/// [`io::ErrorKind::InvalidData`] error.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already known to hold no newline.
+    scanned: usize,
 }
 
 impl LineReader {
     fn read_line(&mut self, stop: &dyn Fn() -> bool) -> io::Result<Option<String>> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+            let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            let len = newline.map_or(self.buf.len(), |pos| self.scanned + pos);
+            if len > MAX_LINE {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("request line exceeds {MAX_LINE} bytes"),
+                ));
+            }
+            if newline.is_some() {
+                let line: Vec<u8> = self.buf.drain(..=len).collect();
+                self.scanned = 0;
                 return Ok(Some(String::from_utf8_lossy(&line).trim().to_string()));
             }
+            self.scanned = len;
             if stop() {
                 return Ok(None);
             }
@@ -743,9 +763,21 @@ fn send(out: &mut TcpStream, j: &Json) -> io::Result<()> {
 fn handle_conn(stream: TcpStream, inner: &Inner) {
     let _ = stream.set_read_timeout(Some(POLL));
     let Ok(mut out) = stream.try_clone() else { return };
-    let mut reader = LineReader { stream, buf: Vec::new() };
+    let mut reader = LineReader { stream, buf: Vec::new(), scanned: 0 };
     let stop = || inner.table.lock().unwrap().closed;
-    while let Ok(Some(line)) = reader.read_line(&stop) {
+    loop {
+        let line = match reader.read_line(&stop) {
+            Ok(Some(line)) => line,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // The rest of the line cannot be framed: refuse it and
+                // close. Shutting the write half first delivers the
+                // reply even while the client is still sending.
+                let _ = send(&mut out, &reply::err(413, &e.to_string()));
+                let _ = out.shutdown(Shutdown::Write);
+                return;
+            }
+            _ => return,
+        };
         if line.is_empty() {
             continue;
         }
@@ -1015,5 +1047,28 @@ fn stream_until_done(inner: &Inner, id: u64, out: &mut TcpStream) -> bool {
         }
         let (guard, _) = inner.cv.wait_timeout(t, POLL).unwrap();
         t = guard;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use magis_models::Workload;
+
+    #[test]
+    fn bench_model_submits_fit_under_max_line_with_headroom() {
+        for w in Workload::all() {
+            let spec = JobSpec {
+                graph: Some(magis_graph::io::to_record(&w.build(1.0).graph)),
+                ..JobSpec::default()
+            };
+            let line = Json::Obj(vec![
+                ("cmd".to_string(), Json::Str("submit".into())),
+                ("wait".into(), Json::Bool(true)),
+                ("job".into(), spec.to_json()),
+            ])
+            .render();
+            assert!(line.len() * 4 <= MAX_LINE, "{w:?}: {} bytes", line.len());
+        }
     }
 }

@@ -108,12 +108,6 @@ fn simulate_inner<E>(
     Ok(ExecTimeline { total: t_compute.max(t_xfer), finish, compute_busy, xfer_busy })
 }
 
-/// [`simulate`] under its old concrete-source name.
-#[deprecated(since = "0.2.0", note = "`simulate` is now generic; call it directly")]
-pub fn simulate_with<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> ExecTimeline {
-    simulate(g, order, cm)
-}
-
 /// End-to-end latency only.
 pub fn simulate_latency<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> f64 {
     simulate(g, order, cm).total

@@ -46,8 +46,8 @@ fn checkpoint_file_round_trips_the_search_state() {
     let ckpt = SearchCheckpoint::read_from(&path).expect("checkpoint parses");
     // The final write snapshots the finished search.
     assert_eq!(ckpt.best_cost, res.best.cost());
-    assert_eq!(ckpt.counters.evaluated as usize, res.stats.evaluated);
-    assert_eq!(ckpt.counters.expanded as usize, res.stats.expanded);
+    assert_eq!(ckpt.counters.evaluated, res.stats.evaluated);
+    assert_eq!(ckpt.counters.expanded, res.stats.expanded);
     assert_eq!(ckpt.seed_cost, init.cost());
 
     // The checkpointed incumbent restores to a valid, re-simulable
@@ -83,7 +83,7 @@ fn resume_from_mid_search_checkpoint_is_no_worse() {
     assert!(res.best.eval.peak_bytes <= partial.best.eval.peak_bytes);
     assert!(res.best.eval.peak_bytes <= init.eval.peak_bytes);
     assert!(
-        res.stats.evaluated >= ckpt.counters.evaluated as usize,
+        res.stats.evaluated >= ckpt.counters.evaluated,
         "counters continue from the checkpoint"
     );
     res.best.eval.graph.validate().expect("incumbent graph validates");

@@ -9,7 +9,7 @@
 //! The metrics registry and trace sink are process-global, so every
 //! test that touches them serializes on [`obs_lock`].
 
-use magis::core::optimizer::OptimizeResult;
+use magis::core::optimizer::{OptimizeResult, OptimizerStats};
 use magis::obs::metrics::default_registry;
 use magis::obs::trace::{self, BufferSink, TraceEvent};
 use magis::prelude::*;
@@ -296,4 +296,124 @@ fn timeline_is_deterministic_and_serializes() {
     let parsed = magis::obs::json::parse(&text).expect("timeline JSON parses");
     let pts = parsed.get("points").and_then(|j| j.as_arr()).expect("points array");
     assert_eq!(pts.len(), a.points.len());
+}
+
+/// Every `magis_core_*` counter the search publishes, paired with the
+/// `OptimizerStats` field it must equal. Spelled out here rather than
+/// read from the optimizer, so a wrong row in its table fails this
+/// test.
+fn core_counts(s: &OptimizerStats) -> BTreeMap<String, u64> {
+    [
+        ("magis_core_expansions", s.expanded),
+        ("magis_core_candidates", s.candidates),
+        ("magis_core_evaluated", s.evaluated),
+        ("magis_core_filtered", s.filtered),
+        ("magis_core_panicked", s.panicked),
+        ("magis_core_cost_rejections", s.cost_rejections),
+        ("magis_core_invariant_rejections", s.invariant_rejections),
+        ("magis_core_quarantined_candidates", s.quarantined_candidates),
+        ("magis_core_quarantined_families", s.families_quarantined),
+        ("magis_core_queue_pushes", s.queue_pushes),
+        ("magis_core_incumbent_improvements", s.incumbent_improvements),
+        ("magis_core_checkpoints_written", s.checkpoints_written),
+        ("magis_core_checkpoint_failures", s.checkpoint_failures),
+        ("magis_core_eval_cache_hits", s.eval_cache_hits),
+        ("magis_core_eval_cache_misses", s.eval_cache_misses),
+        ("magis_core_eval_cache_evictions", s.eval_cache_evictions),
+        ("magis_core_eval_cache_purged", s.eval_cache_purged),
+        ("magis_core_incremental_evals", s.incremental_evals),
+        ("magis_core_incremental_carried_wins", s.incremental_carried_wins),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v as u64))
+    .collect()
+}
+
+/// The plain (unlabeled) `magis_core_*` counters of a snapshot, minus
+/// the per-call `searches` / `resumes` tallies, which no stats field
+/// mirrors.
+fn registry_core_counts() -> (BTreeMap<String, u64>, u64, u64) {
+    let snap = default_registry().snapshot();
+    let c = &snap.counters;
+    let counts = c
+        .iter()
+        .filter(|(k, _)| k.starts_with("magis_core_") && !k.contains('{'))
+        .filter(|(k, _)| *k != "magis_core_searches" && *k != "magis_core_resumes")
+        .map(|(k, &v)| (k.clone(), v))
+        .collect();
+    (counts, c["magis_core_searches"], c["magis_core_resumes"])
+}
+
+#[test]
+fn core_counters_equal_optimizer_stats_fresh_and_resumed() {
+    use magis::core::budget::SearchBudget;
+    use magis::core::checkpoint::SearchCheckpoint;
+    use magis::core::optimizer::{resume, CheckpointPolicy, ParanoiaLevel};
+    use magis_util::fault::{FaultPlan, FaultSite};
+
+    let _g = obs_lock();
+    let tg = Workload::UNet.build(0.15);
+    let init = MState::initial(tg.graph.clone(), &EvalContext::default());
+    let objective = Objective::MinMemory { lat_limit: init.eval.latency * 1.10 };
+    // Every fault site fires now and then, so the rejection, panic and
+    // quarantine counters are non-zero too. The injected panics are
+    // caught by the sandbox; their panic messages are expected noise.
+    // Full paranoia rejects corrupted rewrites before they can reach
+    // the checkpointed frontier.
+    let mut plan = FaultPlan::new(0x0B5);
+    for site in FaultSite::ALL {
+        plan = plan.with_rate(site, 0.06);
+    }
+    for threads in [1, 4] {
+        let path = std::env::temp_dir()
+            .join(format!("magis_obs_counts_{threads}_{}.ckpt", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let policy = CheckpointPolicy::new(path.clone()).with_every(8).with_frontier(true);
+        let cfg = |limit: usize| {
+            OptimizerConfig::new(objective)
+                .with_budget(Duration::from_secs(3600))
+                .with_threads(threads)
+                .with_fault_plan(plan)
+                .with_quarantine_threshold(2)
+                .with_paranoia(ParanoiaLevel::All)
+                .with_search_budget(SearchBudget {
+                    candidate_limit: Some(limit),
+                    ..SearchBudget::UNLIMITED
+                })
+                .with_checkpoint(policy.clone())
+        };
+
+        // A fresh search stopped mid-way; its final checkpoint carries
+        // the frontier.
+        default_registry().reset();
+        let fresh = optimize(tg.graph.clone(), &cfg(40));
+        let (counts, searches, resumes) = registry_core_counts();
+        assert_eq!(counts, core_counts(&fresh.stats), "fresh search, {threads} thread(s)");
+        assert_eq!((searches, resumes), (1, 0));
+        for key in [
+            "magis_core_evaluated",
+            "magis_core_queue_pushes",
+            "magis_core_checkpoints_written",
+            "magis_core_panicked",
+            "magis_core_cost_rejections",
+            "magis_core_invariant_rejections",
+            "magis_core_quarantined_families",
+            "magis_core_incremental_evals",
+        ] {
+            assert!(counts[key] > 0, "{key} is exercised");
+        }
+
+        // Resumed in a fresh registry: the counters restart from the
+        // checkpointed totals, so they stay cumulative over the whole
+        // search and still equal the resumed run's stats.
+        let ckpt = SearchCheckpoint::read_from(&path).expect("checkpoint parses");
+        default_registry().reset();
+        let resumed = resume(&ckpt, &cfg(80)).expect("resumes");
+        let (counts, searches, resumes) = registry_core_counts();
+        assert_eq!(counts, core_counts(&resumed.stats), "resumed search, {threads} thread(s)");
+        assert_eq!((searches, resumes), (1, 1));
+        assert!(resumed.stats.evaluated > ckpt.counters.evaluated, "the resume made progress");
+        assert!(counts["magis_core_expansions"] > ckpt.counters.expanded as u64);
+        let _ = std::fs::remove_file(&path);
+    }
 }

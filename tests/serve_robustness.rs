@@ -176,6 +176,37 @@ fn hostile_requests_get_4xx_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn oversize_line_gets_413_and_a_closed_connection() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let state = scratch("oversize");
+    let (handle, join) =
+        start(ServeConfig { state_dir: state.clone(), workers: 1, ..ServeConfig::default() });
+    let addr = handle.addr();
+
+    // One byte past the line limit, and no newline ever arrives.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.write_all(&vec![b'a'; magis::serve::server::MAX_LINE + 1]).expect("send the long line");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply");
+    let reply = Json::parse(&reply).expect("the reply is JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(reply.get("code").and_then(Json::as_u64), Some(413));
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("the daemon closes the connection");
+    assert!(rest.is_empty(), "nothing follows the 413");
+
+    // The daemon is still alive and completes a well-formed job.
+    let mut c = Client::connect(addr).expect("connect after the oversize line");
+    let out = c.submit_and_wait(&unet_spec(20)).expect("submit");
+    assert!(out.result.expect("the well-formed job completes").evaluated >= 1);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn per_client_cap_rejects_excess_concurrency() {
     let state = scratch("clientcap");
     let (handle, join) = start(ServeConfig {
