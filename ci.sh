@@ -205,6 +205,18 @@ BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Car
 tail -1 <<<"$BENCH_OUT" | grep -q '"correct":true' \
     || { echo "$BENCH_OUT"; echo "perfbench greedy-conv reported incorrect results"; exit 1; }
 
+# Planned benchmark smoke: mcts-tfm searches every model under the
+# planned objective. Its fingerprint replay requires every replayed
+# child, delta plan included, to be bit-identical to
+# `MState::from_applied`, and each result's planned peak must equal a
+# fresh `memory_plan` of its order.
+echo
+echo "==> perfbench mcts-tfm smoke"
+BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload mcts-tfm --seed 1 --seconds 1 --trace 0)"
+tail -1 <<<"$BENCH_OUT" | grep -q '"correct":true' \
+    || { echo "$BENCH_OUT"; echo "perfbench mcts-tfm reported incorrect results"; exit 1; }
+
 # Served benchmark smoke: jobs on an in-process daemon checkpoint
 # every 16 evaluations and stream progress snapshots, and every served
 # result must equal the same request run in process.

@@ -137,7 +137,7 @@ impl<'g> Runtime<'g> {
 pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> BaselineResult {
     let order = crate::pytorch::program_order(g);
     let Some(b) = budget else {
-        let ev = magis_sim::evaluate(g, &order, cm);
+        let ev = magis_sim::evaluate_checked(g, &order, cm).expect("program order evaluates");
         return BaselineResult { peak_bytes: ev.peak_bytes, latency: ev.latency, feasible: true };
     };
     let mut rt = Runtime::new(g, cm);

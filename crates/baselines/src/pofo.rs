@@ -26,7 +26,7 @@ use magis_graph::{GraphTxn, GraphView};
 use crate::BaselineResult;
 use magis_graph::graph::{Graph, NodeId};
 use magis_sched::{place_swaps, stabilize_order};
-use magis_sim::{memory_profile, NodeCost};
+use magis_sim::{evaluate_checked, NodeCost};
 
 /// Minimum tensor size POFO bothers to manage.
 const MIN_BYTES: u64 = 1 << 16;
@@ -111,13 +111,12 @@ fn plans<C: NodeCost + ?Sized>(g: &Graph, order: &[NodeId], cm: &C) -> Vec<Plan>
 /// Runs the POFO-like planner under `budget`.
 pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> BaselineResult {
     let order0 = crate::pytorch::program_order(g);
-    let base = memory_profile(g, &order0);
-    let base_lat = magis_sim::simulate_latency(g, &order0, cm);
+    let base = evaluate_checked(g, &order0, cm).expect("program order evaluates");
     let Some(b) = budget else {
-        return BaselineResult { peak_bytes: base.peak_bytes, latency: base_lat, feasible: true };
+        return BaselineResult { peak_bytes: base.peak_bytes, latency: base.latency, feasible: true };
     };
     if base.peak_bytes <= b {
-        return BaselineResult { peak_bytes: base.peak_bytes, latency: base_lat, feasible: true };
+        return BaselineResult { peak_bytes: base.peak_bytes, latency: base.latency, feasible: true };
     }
     let mut plans = plans(g, &order0, cm);
     // Density-greedy: cheapest overhead per byte first.
@@ -164,7 +163,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
         // Re-measure every few applications (profiles are cheap).
         if applied.is_multiple_of(4) || applied < 4 {
             let order = place_swaps(&g2, &stabilize_order(&g2, &desired), cm);
-            let ev = magis_sim::evaluate(&g2, &order, cm);
+            let ev = evaluate_checked(&g2, &order, cm).expect("stabilized order evaluates");
             if ev.peak_bytes <= b {
                 return BaselineResult {
                     peak_bytes: ev.peak_bytes,
@@ -175,7 +174,7 @@ pub fn run<C: NodeCost + ?Sized>(g: &Graph, budget: Option<u64>, cm: &C) -> Base
         }
     }
     let order = place_swaps(&g2, &stabilize_order(&g2, &desired), cm);
-    let ev = magis_sim::evaluate(&g2, &order, cm);
+    let ev = evaluate_checked(&g2, &order, cm).expect("stabilized order evaluates");
     BaselineResult { peak_bytes: ev.peak_bytes, latency: ev.latency, feasible: ev.peak_bytes <= b }
 }
 

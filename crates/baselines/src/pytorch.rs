@@ -6,7 +6,7 @@
 use crate::BaselineResult;
 use magis_graph::algo::topo_order;
 use magis_graph::graph::{Graph, NodeId};
-use magis_sim::{evaluate, NodeCost};
+use magis_sim::{evaluate_checked, NodeCost};
 
 /// The program order: deterministic Kahn order (builder creation order
 /// wherever dependencies allow — what an eager framework executes).
@@ -17,7 +17,7 @@ pub fn program_order(g: &Graph) -> Vec<NodeId> {
 /// Runs the anchor: no transformations, no re-ordering.
 pub fn run<C: NodeCost + ?Sized>(g: &Graph, cm: &C) -> BaselineResult {
     let order = program_order(g);
-    let ev = evaluate(g, &order, cm);
+    let ev = evaluate_checked(g, &order, cm).expect("program order evaluates");
     BaselineResult { peak_bytes: ev.peak_bytes, latency: ev.latency, feasible: true }
 }
 

@@ -8,6 +8,7 @@ use magis_core::rules::{self, RuleConfig, Transform};
 use magis_core::state::{EvalContext, MState};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
 use magis_sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
+use magis_sim::MemObjective;
 use std::hint::black_box;
 use magis_graph::GraphView;
 
@@ -29,12 +30,12 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("incremental", n), &(), |b, ()| {
             b.iter(|| {
                 black_box(incremental_schedule(
-                    &state.eval.graph,
                     &applied.base,
-                    &applied.mutated,
-                    &state.eval.order,
+                    state.eval.as_parent(&applied.mutated),
+                    MemObjective::Liveness,
                     &SchedConfig::default(),
                     &IntervalParams::default(),
+                    None,
                 ))
             })
         });

@@ -10,7 +10,7 @@ use magis_core::rules::{self, RuleConfig, Transform};
 use magis_core::state::{EvalContext, MState};
 use magis_sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
-use magis_sim::memory_profile;
+use magis_sim::{memory_profile, MemObjective};
 use std::time::Instant;
 
 fn main() {
@@ -45,13 +45,15 @@ fn main() {
             // IS: reuse the previous schedule.
             let t0 = Instant::now();
             let is_order = incremental_schedule(
-                &state.eval.graph,
                 &g_new,
-                &applied.mutated,
-                &state.eval.order,
+                state.eval.as_parent(&applied.mutated),
+                MemObjective::Liveness,
                 &sched_cfg,
                 &params,
-            );
+                None,
+            )
+            .expect("memory accounting conserved")
+            .order;
             let is_time = t0.elapsed();
 
             // FS: schedule from scratch.

@@ -495,7 +495,7 @@ mod tests {
     use magis_graph::algo::topo_order;
     use magis_graph::builder::GraphBuilder;
     use magis_graph::tensor::DType;
-    use magis_sim::{evaluate, CostModel};
+    use magis_sim::{evaluate_checked, CostModel};
 
     /// Two-layer MLP segment on the batch dimension (Fig. 5 shape).
     fn mlp_segment() -> (Graph, FissionSpec) {
@@ -551,11 +551,11 @@ mod tests {
     fn overlay_reduces_peak_memory() {
         let (g0, spec) = mlp_segment();
         let cm = CostModel::default();
-        let base = evaluate(&g0, &topo_order(&g0), &cm);
+        let base = evaluate_checked(&g0, &topo_order(&g0), &cm).unwrap();
         let mut txn = GraphTxn::begin(&g0);
         apply_overlay(&mut txn, &spec).unwrap();
         let g = txn.commit().0;
-        let ev = evaluate(&g, &topo_order(&g), &cm);
+        let ev = evaluate_checked(&g, &topo_order(&g), &cm).unwrap();
         assert!(
             ev.peak_bytes < base.peak_bytes,
             "fission peak {} < base {}",
@@ -574,8 +574,8 @@ mod tests {
         let overlay = txn.commit().0;
         let full = apply_full(&g0, &spec).unwrap();
         full.validate().unwrap();
-        let ev_o = evaluate(&overlay, &topo_order(&overlay), &cm);
-        let ev_f = evaluate(&full, &topo_order(&full), &cm);
+        let ev_o = evaluate_checked(&overlay, &topo_order(&overlay), &cm).unwrap();
+        let ev_f = evaluate_checked(&full, &topo_order(&full), &cm).unwrap();
         // Node counts: overlay stays O(|S|); full grows with n.
         assert!(full.len() > overlay.len());
         // Latency of the representative-part overlay approximates the

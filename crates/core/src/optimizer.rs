@@ -86,7 +86,7 @@ use magis_graph::graph::Graph;
 use magis_obs::metrics::{labeled, Counter, Gauge, Histogram};
 use magis_obs::timeline::{SearchTimeline, TimelinePoint};
 use magis_sched::validate_schedule;
-use magis_sim::{evaluate_checked, memory_profile};
+use magis_sim::{evaluate_with_plan, memory_profile, MemoryTables};
 use magis_util::fault::{FaultPlan, FaultSite};
 use magis_util::parallel;
 use magis_util::sync::ShardedSet;
@@ -816,8 +816,11 @@ fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), String> {
     child.eval.graph.validate().map_err(|e| format!("graph: {e}"))?;
     validate_schedule(&child.eval.graph, &child.eval.order)
         .map_err(|e| format!("schedule: {e}"))?;
-    let full = evaluate_checked(&child.eval.graph, &child.eval.order, &ctx.cost())
+    let (graph, order) = (&child.eval.graph, &child.eval.order);
+    let tables = MemoryTables::new(graph, order, ctx.mem_objective, None)
         .map_err(|e| format!("memory: {e}"))?;
+    let full = evaluate_with_plan(graph, order, &ctx.cost(), tables.profile, tables.plan.as_ref())
+        .map_err(|e| format!("latency: {e}"))?;
     if full.peak_bytes != child.eval.peak_bytes {
         return Err(format!(
             "cross-check: incremental peak_bytes {} != full {}",
@@ -832,18 +835,15 @@ fn check_invariants(child: &MState, ctx: &EvalContext) -> Result<(), String> {
     }
     // The planning stage gets the same treatment: a delta re-plan must
     // be bit-identical (full struct equality — offsets, intervals and
-    // peaks) to a from-scratch plan of the same order.
-    if let Some(plan) = &child.eval.plan {
-        let full_plan = magis_sim::memory_plan(&child.eval.graph, &child.eval.order)
-            .map_err(|e| format!("plan: {e}"))?;
-        if *plan != full_plan {
-            return Err(format!(
-                "cross-check: incremental plan diverged (planned peak {} != full {})",
-                plan.planned_peak_bytes, full_plan.planned_peak_bytes
-            ));
-        }
-    } else if ctx.mem_objective == magis_sim::MemObjective::Planned {
-        return Err("planned objective but the state carries no memory plan".to_string());
+    // peaks) to a from-scratch plan of the same order, and present
+    // exactly under the planned objective.
+    if child.eval.plan != tables.plan {
+        let peak = |p: &Option<magis_sim::MemoryPlan>| p.as_ref().map(|p| p.planned_peak_bytes);
+        return Err(format!(
+            "cross-check: incremental plan diverged (planned peak {:?} != full {:?})",
+            peak(&child.eval.plan),
+            peak(&tables.plan)
+        ));
     }
     Ok(())
 }

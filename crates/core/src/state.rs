@@ -12,7 +12,12 @@
 //! 3. **Swap placement** — `Store` as early as possible, `Load` as
 //!    late as its transfer can still be hidden (§6.2's re-ordering
 //!    strategy for asynchronous swapping).
-//! 4. **Simulate** — two-stream latency + step-level memory profile.
+//! 4. **Memory tables** — profile, lifetimes and (under the planned
+//!    objective) the allocator plan, via `magis_sim::MemoryTables`:
+//!    a delta from the parent's tables or from scratch.
+//! 5. **Simulate** — two-stream latency over those tables, in the one
+//!    tail every evaluation shares (initial, polish, candidate and
+//!    resume).
 
 use magis_graph::GraphView;
 use crate::fission::apply_overlay;
@@ -20,12 +25,11 @@ use crate::ftree::FTree;
 use crate::rules::{Applied, ApplyError};
 use magis_graph::graph::{Graph, NodeId};
 use magis_graph::algo::reach::Reachability;
-use magis_sched::{
-    full_schedule, incremental_schedule_cached, IntervalParams, SchedConfig,
-};
+use magis_sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
 pub use magis_sched::schedule::place_swaps;
 use magis_sim::{
-    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, PerfCache, UncachedCost,
+    Backend, CostError, CostModel, Lifetimes, MemObjective, MemoryPlan, MemoryTables,
+    ParentTables, PerfCache, UncachedCost,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -200,6 +204,18 @@ impl Eval {
         self.reach.get_or_init(|| Reachability::compute(&self.graph))
     }
 
+    /// This state's tables as the parent of a candidate derived by a
+    /// rewrite that changed the edges of `touched`.
+    pub fn as_parent<'a>(&'a self, touched: &'a BTreeSet<NodeId>) -> ParentTables<'a> {
+        ParentTables {
+            graph: &self.graph,
+            order: &self.order,
+            lifetimes: &self.lifetimes,
+            plan: self.plan.as_ref(),
+            touched,
+        }
+    }
+
     /// The peak-memory figure the active objective scores this state
     /// by: the allocator-planned high-water mark when the planning
     /// stage ran, the liveness peak otherwise.
@@ -334,33 +350,8 @@ impl MState {
         order: Vec<NodeId>,
         ctx: &EvalContext,
     ) -> Result<MState, EvalError> {
-        let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&graph, &order)?;
-        let plan = match ctx.mem_objective {
-            MemObjective::Planned => {
-                Some(magis_sim::plan_from_lifetimes(&graph, &order, &lifetimes)?)
-            }
-            MemObjective::Liveness => None,
-        };
-        let ev = magis_sim::evaluate_with_plan(
-            &graph,
-            &order,
-            ctx.perf.as_ref(),
-            profile,
-            plan.as_ref(),
-        )?;
-        let (hotspots_base, base_positions) = project_to_base(&base, &ev.memory.hotspots, &order);
-        let eval = Eval {
-            graph,
-            order,
-            latency: ev.latency,
-            peak_bytes: ev.peak_bytes,
-            hotspots_base,
-            base_positions,
-            lifetimes,
-            plan,
-            inc: None,
-            reach: Arc::default(),
-        };
+        let tables = MemoryTables::new(&graph, &order, ctx.mem_objective, None)?;
+        let eval = finish_eval(&base, graph, order, tables, None, ctx)?;
         Ok(MState { base, ftree, eval, tree_stale: true })
     }
 }
@@ -430,86 +421,64 @@ pub(crate) fn evaluate_overlay(
         EvalMode::Incremental => parent,
         EvalMode::Full => None,
     };
-    let planned = ctx.mem_objective == MemObjective::Planned;
-    let (placed, profile, lifetimes, plan, inc_info) = match parent {
-        Some(p) => {
-            let s_old: BTreeSet<NodeId> =
-                mutated.iter().copied().filter(|v| p.eval.graph.contains(*v)).collect();
-            let inc = incremental_schedule_cached(
-                &p.eval.graph,
-                &g,
-                &s_old,
-                &p.eval.order,
-                Some(&p.eval.lifetimes),
-                if planned { p.eval.plan.as_ref() } else { None },
-                &ctx.sched_incremental,
-                &ctx.interval,
-                Some(p.eval.reachability()),
-            )?;
-            let info =
-                IncrementalEvalInfo { window: inc.window, carried_won: inc.carried_won };
-            let placed = place_swaps(&g, &inc.order, ctx.perf.as_ref());
-            if placed == inc.order {
-                let plan = match (planned, inc.plan) {
-                    (true, Some(plan)) => Some(plan),
-                    // A planned search whose parent had no plan (e.g.
-                    // a resumed state from a liveness checkpoint):
-                    // plan from scratch once, children delta from it.
-                    (true, None) => {
-                        Some(magis_sim::plan_from_lifetimes(&g, &placed, &inc.lifetimes)?)
-                    }
-                    (false, _) => None,
-                };
-                (placed, inc.profile, inc.lifetimes, plan, Some(info))
-            } else {
-                // Swap placement moved nodes: delta-update the profile
-                // from the pre-placement order (same graph, so no
-                // touched set beyond the schedule diff).
-                let (profile, lifetimes) = magis_sim::memory_profile_delta(
-                    &g,
-                    &placed,
-                    &g,
-                    &inc.order,
-                    &inc.lifetimes,
-                    &BTreeSet::new(),
-                )?;
-                let plan = match (planned, &inc.plan) {
-                    (true, Some(pp)) => {
-                        Some(magis_sim::memory_plan_delta(&g, &placed, &lifetimes, pp)?)
-                    }
-                    (true, None) => {
-                        Some(magis_sim::plan_from_lifetimes(&g, &placed, &lifetimes)?)
-                    }
-                    (false, _) => None,
-                };
-                (placed, profile, lifetimes, plan, Some(info))
-            }
-        }
-        None => {
-            let order = full_schedule(&g, &ctx.sched);
-            let placed = place_swaps(&g, &order, ctx.perf.as_ref());
-            let (profile, lifetimes) = magis_sim::memory_profile_lifetimes(&g, &placed)?;
-            let plan = if planned {
-                Some(magis_sim::plan_from_lifetimes(&g, &placed, &lifetimes)?)
-            } else {
-                None
-            };
-            (placed, profile, lifetimes, plan, None)
-        }
+    let objective = ctx.mem_objective;
+    let Some(p) = parent else {
+        let order = place_swaps(&g, &full_schedule(&g, &ctx.sched), ctx.perf.as_ref());
+        let tables = MemoryTables::new(&g, &order, objective, None)?;
+        return finish_eval(base, g, order, tables, None, ctx);
     };
-    let ev =
-        magis_sim::evaluate_with_plan(&g, &placed, ctx.perf.as_ref(), profile, plan.as_ref())?;
-    let (hotspots_base, base_positions) = project_to_base(base, &ev.memory.hotspots, &placed);
+    debug_assert!(
+        objective == MemObjective::Liveness || p.eval.plan.is_some(),
+        "under the planned objective every evaluated state carries a plan"
+    );
+    let s_old: BTreeSet<NodeId> =
+        mutated.iter().copied().filter(|v| p.eval.graph.contains(*v)).collect();
+    let inc = incremental_schedule(
+        &g,
+        p.eval.as_parent(&s_old),
+        objective,
+        &ctx.sched_incremental,
+        &ctx.interval,
+        Some(p.eval.reachability()),
+    )?;
+    let info = IncrementalEvalInfo { window: inc.window, carried_won: inc.carried_won };
+    let placed = place_swaps(&g, &inc.order, ctx.perf.as_ref());
+    let tables = if placed == inc.order {
+        inc.tables
+    } else {
+        // Swap placement moved nodes: re-derive the tables from the
+        // pre-placement order (same graph, so nothing is touched beyond
+        // the schedule diff).
+        let untouched = BTreeSet::new();
+        let parent = inc.tables.as_parent(&g, &inc.order, &untouched);
+        MemoryTables::new(&g, &placed, objective, Some(parent))?
+    };
+    finish_eval(base, g, placed, tables, Some(info), ctx)
+}
+
+/// The tail every evaluation shares: simulate `order` over its memory
+/// tables and project the result onto `base`.
+fn finish_eval(
+    base: &Graph,
+    g: Graph,
+    order: Vec<NodeId>,
+    tables: MemoryTables,
+    inc: Option<IncrementalEvalInfo>,
+    ctx: &EvalContext,
+) -> Result<Eval, EvalError> {
+    let MemoryTables { profile, lifetimes, plan } = tables;
+    let ev = magis_sim::evaluate_with_plan(&g, &order, ctx.perf.as_ref(), profile, plan.as_ref())?;
+    let (hotspots_base, base_positions) = project_to_base(base, &ev.memory.hotspots, &order);
     Ok(Eval {
         graph: g,
-        order: placed,
+        order,
         latency: ev.latency,
         peak_bytes: ev.peak_bytes,
         hotspots_base,
         base_positions,
         lifetimes,
         plan,
-        inc: inc_info,
+        inc,
         reach: Arc::default(),
     })
 }

@@ -14,7 +14,7 @@ use crate::schedule::stabilize_order;
 use crate::task::SchedTask;
 use magis_graph::algo::reach::Reachability;
 use magis_graph::graph::{Graph, NodeId};
-use magis_sim::{CostError, Lifetimes, MemoryPlan, MemoryProfile};
+use magis_sim::{CostError, MemObjective, MemoryTables, ParentTables};
 use std::collections::BTreeSet;
 
 /// The empirical constants of `ExtendBound` (Algorithm 2 line 4); the
@@ -40,20 +40,11 @@ impl Default for IntervalParams {
 ///
 /// Returns `None` when no mutated node appears in the old schedule
 /// (e.g. the transformation only added nodes).
-pub fn reschedule_interval(
-    g_old: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    params: &IntervalParams,
-) -> Option<(usize, usize)> {
-    reschedule_interval_cached(g_old, s_old, psi_old, params, None)
-}
-
-/// [`reschedule_interval`] with an optional precomputed reachability of
-/// `g_old`. A parent state's reachability is identical for every
-/// candidate derived from it, so the search computes it once and hands
-/// it to each evaluation instead of paying `Reachability::compute` per
-/// candidate.
+///
+/// `reach` is an optional precomputed reachability of `g_old`. A parent
+/// state's reachability is identical for every candidate derived from
+/// it, so the search computes it once and hands it to each evaluation
+/// instead of paying `Reachability::compute` per candidate.
 pub fn reschedule_interval_cached(
     g_old: &Graph,
     s_old: &BTreeSet<NodeId>,
@@ -103,46 +94,18 @@ pub fn reschedule_interval_cached(
     Some((beg, end + 1))
 }
 
-fn record_inc_obs(carried_won: bool, window: usize, start: std::time::Instant) {
-    use std::sync::OnceLock;
-    struct IncObs {
-        runs: magis_obs::metrics::Counter,
-        carried: magis_obs::metrics::Counter,
-        seconds: magis_obs::metrics::Histogram,
-        window: magis_obs::metrics::Histogram,
-    }
-    static OBS: OnceLock<IncObs> = OnceLock::new();
-    let obs = OBS.get_or_init(|| IncObs {
-        runs: magis_obs::metrics::counter("magis_sched_incremental_runs"),
-        carried: magis_obs::metrics::counter("magis_sched_incremental_carried_wins"),
-        seconds: magis_obs::metrics::histogram("magis_sched_incremental_seconds"),
-        window: magis_obs::metrics::histogram("magis_sched_incremental_window"),
-    });
-    obs.runs.inc();
-    if carried_won {
-        obs.carried.inc();
-    }
-    obs.window.observe(window as f64);
-    obs.seconds.observe_duration(start.elapsed());
-}
-
-/// Result of [`incremental_schedule_profiled`]: the chosen order plus
-/// the memory profile and lifetime table that were computed while
-/// choosing it — the evaluation pipeline reuses them instead of
-/// re-profiling from scratch, and carries the lifetimes forward as the
-/// parent table for the *next* incremental step.
+/// Result of [`incremental_schedule`]: the chosen order plus the
+/// memory tables that were computed while choosing it — the evaluation
+/// pipeline reuses them instead of re-profiling from scratch, and
+/// carries them forward as the parent tables of the *next* incremental
+/// step.
 #[derive(Debug, Clone)]
 pub struct IncrementalSchedule {
     /// A valid topological order of the new graph.
     pub order: Vec<NodeId>,
-    /// Memory profile of `order` (bit-identical to a full
-    /// [`magis_sim::memory_profile_checked`] of it).
-    pub profile: MemoryProfile,
-    /// Lifetime table of `order`, for the next delta update.
-    pub lifetimes: Lifetimes,
-    /// Memory plan of `order`, delta-derived from the parent's plan
-    /// when one was handed in (`None` when planning is off).
-    pub plan: Option<MemoryPlan>,
+    /// Memory tables of `order`, bit-identical to the from-scratch
+    /// tables of it.
+    pub tables: MemoryTables,
     /// Width of the rescheduled window (old-schedule steps).
     pub window: usize,
     /// Whether the carried-over old order beat the rescheduled window.
@@ -150,99 +113,39 @@ pub struct IncrementalSchedule {
 }
 
 /// Incremental scheduling (Algorithm 2): derives a schedule for
-/// `g_new` from the old schedule `psi_old` of `g_old` and the set of
-/// old nodes `s_old` touched by the transformation.
+/// `g_new` from the parent's schedule and the set of old nodes the
+/// transformation touched (`parent.order` of `parent.graph`, and
+/// `parent.touched`).
+///
+/// The window around the touched nodes is re-ordered with the DP and
+/// spliced back; a guard keeps the carried-over parent order instead
+/// when its [`MemoryTables::key`] under `objective` is smaller. Both
+/// sides of the guard are delta-derived from the parent's tables, so
+/// the returned order comes with its tables.
 ///
 /// The returned order is always a valid topological order of `g_new`.
-///
-/// This compatibility wrapper profiles from scratch; the evaluation
-/// pipeline uses [`incremental_schedule_profiled`] with the parent's
-/// lifetime table so the rescheduled-vs-carried guard runs on delta
-/// profiles instead of two full ones.
-///
-/// # Panics
-///
-/// Panics if memory accounting is not conserved (a corrupt graph or
-/// schedule).
-pub fn incremental_schedule(
-    g_old: &Graph,
-    g_new: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    cfg: &SchedConfig,
-    params: &IntervalParams,
-) -> Vec<NodeId> {
-    incremental_schedule_profiled(g_old, g_new, s_old, psi_old, None, None, cfg, params)
-        .expect("memory accounting conserved")
-        .order
-}
-
-/// [`incremental_schedule`] returning the chosen order *with* its
-/// memory profile and lifetime table.
-///
-/// When `parent_lifetimes` is the table of `(g_old, psi_old)`, both
-/// candidate orders (rescheduled window and carried-over old order)
-/// are profiled by delta update ([`magis_sim::memory_profile_delta`]);
-/// otherwise they are profiled from scratch. Either way the returned
-/// profile/lifetimes are bit-identical to a full recomputation.
-///
-/// When `parent_plan` is the memory plan of `(g_old, psi_old)`, both
-/// candidate orders are additionally re-planned by delta update
-/// ([`magis_sim::memory_plan_delta`]) and the rescheduled-vs-carried
-/// guard compares `(planned_peak, liveness_peak)` lexicographically,
-/// so the planned objective steers the choice without the liveness
-/// path losing its tiebreak.
 ///
 /// # Errors
 ///
 /// Returns a typed [`CostError`] on coverage or memory-conservation
 /// defects.
-#[allow(clippy::too_many_arguments)]
-pub fn incremental_schedule_profiled(
-    g_old: &Graph,
+pub fn incremental_schedule(
     g_new: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    parent_lifetimes: Option<&Lifetimes>,
-    parent_plan: Option<&MemoryPlan>,
-    cfg: &SchedConfig,
-    params: &IntervalParams,
-) -> Result<IncrementalSchedule, CostError> {
-    incremental_schedule_cached(
-        g_old,
-        g_new,
-        s_old,
-        psi_old,
-        parent_lifetimes,
-        parent_plan,
-        cfg,
-        params,
-        None,
-    )
-}
-
-/// [`incremental_schedule_profiled`] with an optional precomputed
-/// reachability of `g_old` (see [`reschedule_interval_cached`]).
-#[allow(clippy::too_many_arguments)]
-pub fn incremental_schedule_cached(
-    g_old: &Graph,
-    g_new: &Graph,
-    s_old: &BTreeSet<NodeId>,
-    psi_old: &[NodeId],
-    parent_lifetimes: Option<&Lifetimes>,
-    parent_plan: Option<&MemoryPlan>,
+    parent: ParentTables<'_>,
+    objective: MemObjective,
     cfg: &SchedConfig,
     params: &IntervalParams,
     reach_old: Option<&Reachability>,
 ) -> Result<IncrementalSchedule, CostError> {
-    let start = std::time::Instant::now();
     let mut span = magis_obs::span!("magis_sched", "incremental_schedule", nodes = g_new.len());
-    let (beg, end) = match reschedule_interval_cached(g_old, s_old, psi_old, params, reach_old) {
-        Some(r) => r,
-        // Pure additions: reschedule only the new nodes, appended where
-        // their dependencies allow.
-        None => (psi_old.len(), psi_old.len()),
-    };
+    let psi_old = parent.order;
+    let (beg, end) =
+        match reschedule_interval_cached(parent.graph, parent.touched, psi_old, params, reach_old) {
+            Some(r) => r,
+            // Pure additions: reschedule only the new nodes, appended
+            // where their dependencies allow.
+            None => (psi_old.len(), psi_old.len()),
+        };
     let window = end.saturating_sub(beg);
     span.record("window", window);
     let prefix: Vec<NodeId> =
@@ -266,64 +169,24 @@ pub fn incremental_schedule_cached(
     let rescheduled = stabilize_order(g_new, &desired);
     // Guard: rescheduling a window can occasionally lose to simply
     // carrying the old order over (boundary effects). Keep the better
-    // of the two — a delta profile is far cheaper than the DP.
+    // of the two — delta tables are far cheaper than the DP.
     let carried = stabilize_order(g_new, psi_old);
-    let profile_of = |order: &[NodeId]| match parent_lifetimes {
-        Some(lt) => magis_sim::memory_profile_delta(g_new, order, g_old, psi_old, lt, s_old),
-        None => magis_sim::memory_profile_lifetimes(g_new, order),
-    };
-    let plan_of = |order: &[NodeId], lt: &Lifetimes| match parent_plan {
-        Some(pp) => magis_sim::memory_plan_delta(g_new, order, lt, pp).map(Some),
-        None => Ok(None),
-    };
-    let (new_prof, new_lt) = profile_of(&rescheduled)?;
-    if carried == rescheduled {
-        // Identical orders: both sides of the guard would profile and
-        // plan to identical results and the strict > below is false.
-        // Skip the redundant half outright.
-        let new_plan = plan_of(&rescheduled, &new_lt)?;
-        span.record("carried_won", false);
-        record_inc_obs(false, window, start);
-        return Ok(IncrementalSchedule {
-            order: rescheduled,
-            profile: new_prof,
-            lifetimes: new_lt,
-            plan: new_plan,
-            window,
-            carried_won: false,
-        });
-    }
-    let (old_prof, old_lt) = profile_of(&carried)?;
-    let new_plan = plan_of(&rescheduled, &new_lt)?;
-    let old_plan = plan_of(&carried, &old_lt)?;
-    let carried_won = match (&new_plan, &old_plan) {
-        (Some(np), Some(op)) => {
-            (np.planned_peak_bytes, new_prof.peak_bytes)
-                > (op.planned_peak_bytes, old_prof.peak_bytes)
+    let tables_of = |order: &[NodeId]| MemoryTables::new(g_new, order, objective, Some(parent));
+    let new_tables = tables_of(&rescheduled)?;
+    // Identical orders would produce identical tables, and the strict
+    // `>` below would be false: skip the redundant half outright.
+    let (order, tables, carried_won) = if carried == rescheduled {
+        (rescheduled, new_tables, false)
+    } else {
+        let old_tables = tables_of(&carried)?;
+        if new_tables.key() > old_tables.key() {
+            (carried, old_tables, true)
+        } else {
+            (rescheduled, new_tables, false)
         }
-        _ => new_prof.peak_bytes > old_prof.peak_bytes,
     };
     span.record("carried_won", carried_won);
-    record_inc_obs(carried_won, window, start);
-    Ok(if carried_won {
-        IncrementalSchedule {
-            order: carried,
-            profile: old_prof,
-            lifetimes: old_lt,
-            plan: old_plan,
-            window,
-            carried_won,
-        }
-    } else {
-        IncrementalSchedule {
-            order: rescheduled,
-            profile: new_prof,
-            lifetimes: new_lt,
-            plan: new_plan,
-            window,
-            carried_won,
-        }
-    })
+    Ok(IncrementalSchedule { order, tables, window, carried_won })
 }
 
 #[cfg(test)]
@@ -333,6 +196,27 @@ mod tests {
     use magis_graph::builder::GraphBuilder;
     use magis_graph::op::{OpKind, UnaryKind};
     use magis_graph::tensor::DType;
+
+    /// Algorithm 2 under the liveness objective, from the parent's
+    /// from-scratch tables.
+    fn reschedule(
+        g_old: &Graph,
+        g_new: &Graph,
+        s_old: &BTreeSet<NodeId>,
+        psi_old: &[NodeId],
+    ) -> Vec<NodeId> {
+        let tables = MemoryTables::new(g_old, psi_old, MemObjective::Liveness, None).unwrap();
+        incremental_schedule(
+            g_new,
+            tables.as_parent(g_old, psi_old, s_old),
+            MemObjective::Liveness,
+            &SchedConfig::default(),
+            &IntervalParams::default(),
+            None,
+        )
+        .unwrap()
+        .order
+    }
 
     fn chain_graph(n: usize) -> Graph {
         let mut b = GraphBuilder::new(DType::F32);
@@ -348,7 +232,7 @@ mod tests {
         let g = chain_graph(30);
         let psi = topo_order(&g);
         let s: BTreeSet<NodeId> = [psi[10], psi[12]].into_iter().collect();
-        let (beg, end) = reschedule_interval(&g, &s, &psi, &IntervalParams::default()).unwrap();
+        let (beg, end) = reschedule_interval_cached(&g, &s, &psi, &IntervalParams::default(), None).unwrap();
         assert!(beg <= 10 && end >= 13);
         // On a chain every nw is 0: the first extension step already
         // finds the minimum, so the window stays tight.
@@ -370,14 +254,7 @@ mod tests {
         g_new.validate().unwrap();
 
         let s_old: BTreeSet<NodeId> = [target, user].into_iter().collect();
-        let psi_new = incremental_schedule(
-            &g_old,
-            &g_new,
-            &s_old,
-            &psi_old,
-            &SchedConfig::default(),
-            &IntervalParams::default(),
-        );
+        let psi_new = reschedule(&g_old, &g_new, &s_old, &psi_old);
         assert!(is_topo_order(&g_new, &psi_new));
         assert_eq!(psi_new.len(), g_new.len());
     }
@@ -399,14 +276,7 @@ mod tests {
         txn.remove(dup).unwrap();
         let g_new = txn.commit().0;
         let s_old: BTreeSet<NodeId> = [dup, u2].into_iter().collect();
-        let psi_new = incremental_schedule(
-            &g_old,
-            &g_new,
-            &s_old,
-            &psi_old,
-            &SchedConfig::default(),
-            &IntervalParams::default(),
-        );
+        let psi_new = reschedule(&g_old, &g_new, &s_old, &psi_old);
         assert!(is_topo_order(&g_new, &psi_new));
     }
 
@@ -414,14 +284,7 @@ mod tests {
     fn no_mutation_is_stable() {
         let g = chain_graph(5);
         let psi = topo_order(&g);
-        let out = incremental_schedule(
-            &g,
-            &g,
-            &BTreeSet::new(),
-            &psi,
-            &SchedConfig::default(),
-            &IntervalParams::default(),
-        );
+        let out = reschedule(&g, &g, &BTreeSet::new(), &psi);
         assert_eq!(out, psi);
     }
 }

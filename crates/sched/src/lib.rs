@@ -39,9 +39,7 @@ pub mod validate;
 
 pub use dp::{dp_schedule, DpResult, SchedConfig};
 pub use incremental::{
-    incremental_schedule, incremental_schedule_cached, incremental_schedule_profiled,
-    reschedule_interval, reschedule_interval_cached,
-    IncrementalSchedule, IntervalParams,
+    incremental_schedule, reschedule_interval_cached, IncrementalSchedule, IntervalParams,
 };
 pub use partition::partition;
 pub use schedule::{full_schedule, place_swaps, stabilize_order};

@@ -91,12 +91,6 @@ pub fn full_schedule(g: &Graph, cfg: &SchedConfig) -> Vec<NodeId> {
     }
 }
 
-/// Positions of each node within an order (inverse permutation).
-pub fn positions(g: &Graph, order: &[NodeId]) -> HashMap<NodeId, usize> {
-    let _ = g;
-    order.iter().enumerate().map(|(i, &v)| (v, i)).collect()
-}
-
 /// Repositions swap operators per the paper's strategy (§6.2): every
 /// `Store` directly after its producer, every `Load` as late as its
 /// transfer time can still be hidden behind the intervening compute.

@@ -99,8 +99,8 @@ impl TanhLike for GraphBuilder {
 use magis_graph::algo::is_topo_order;
 use magis_graph::graph::Graph;
 use magis_graph::op::{OpKind, UnaryKind};
-use magis_sched::{incremental_schedule_profiled, IntervalParams};
-use magis_sim::memory_profile_lifetimes;
+use magis_sched::{incremental_schedule, IntervalParams};
+use magis_sim::{MemObjective, MemoryTables};
 
 /// A linear chain with one fat interior activation so the peak-memory
 /// step sits in the middle of the schedule.
@@ -115,33 +115,43 @@ fn chain_graph() -> Graph {
     b.finish()
 }
 
-/// Runs the incremental scheduler with the parent's lifetime table and
-/// asserts validity plus bit-identity of the delta profile against a
-/// full recomputation of the chosen order.
+/// Runs the incremental scheduler from the parent's tables under both
+/// objectives and asserts validity plus bit-identity of the returned
+/// tables (profile, lifetime table and plan) against the from-scratch
+/// tables of the chosen order.
 fn check_incremental(g_old: &Graph, g_new: &Graph, s_old: &BTreeSet<NodeId>) {
     let cfg = SchedConfig::default();
     let psi_old = full_schedule(g_old, &cfg);
-    let (_, lt_old) = memory_profile_lifetimes(g_old, &psi_old).expect("old profile");
-    let plan_old = magis_sim::memory_plan(g_old, &psi_old).expect("old plan");
-    let inc = incremental_schedule_profiled(
-        g_old,
-        g_new,
-        s_old,
-        &psi_old,
-        Some(&lt_old),
-        Some(&plan_old),
-        &cfg,
-        &IntervalParams::default(),
-    )
-    .expect("incremental schedule");
-    assert!(is_topo_order(g_new, &inc.order), "merged order is a valid topo order");
-    assert_eq!(inc.order.len(), g_new.len(), "order covers the new graph");
-    let (full_prof, full_lt) =
-        memory_profile_lifetimes(g_new, &inc.order).expect("full recompute");
-    assert_eq!(inc.profile.peak_bytes, full_prof.peak_bytes, "delta peak bit-identical");
-    assert_eq!(inc.lifetimes, full_lt, "delta lifetime table bit-identical");
-    let full_plan = magis_sim::memory_plan(g_new, &inc.order).expect("full re-plan");
-    assert_eq!(inc.plan.as_ref(), Some(&full_plan), "delta memory plan bit-identical");
+    for objective in [MemObjective::Liveness, MemObjective::Planned] {
+        let parent = MemoryTables::new(g_old, &psi_old, objective, None).expect("old tables");
+        let inc = incremental_schedule(
+            g_new,
+            parent.as_parent(g_old, &psi_old, s_old),
+            objective,
+            &cfg,
+            &IntervalParams::default(),
+            None,
+        )
+        .expect("incremental schedule");
+        assert!(is_topo_order(g_new, &inc.order), "merged order is a valid topo order");
+        assert_eq!(inc.order.len(), g_new.len(), "order covers the new graph");
+        let full = MemoryTables::new(g_new, &inc.order, objective, None).expect("full recompute");
+        let (delta, full_prof) = (&inc.tables.profile, &full.profile);
+        assert_eq!(delta.peak_bytes, full_prof.peak_bytes, "{objective}: delta peak");
+        assert_eq!(delta.step_bytes, full_prof.step_bytes, "{objective}: delta step bytes");
+        assert_eq!(delta.hotspots, full_prof.hotspots, "{objective}: delta hot-spots");
+        assert_eq!(inc.tables.lifetimes, full.lifetimes, "{objective}: delta lifetime table");
+        assert_eq!(inc.tables.plan, full.plan, "{objective}: delta memory plan");
+        assert_eq!(
+            inc.tables.plan.is_some(),
+            objective == MemObjective::Planned,
+            "{objective}: a plan exactly under the planned objective"
+        );
+        if let Some(plan) = &inc.tables.plan {
+            let scratch = magis_sim::memory_plan(g_new, &inc.order).expect("full re-plan");
+            assert_eq!(plan, &scratch, "{objective}: delta plan equals memory_plan");
+        }
+    }
 }
 
 #[test]

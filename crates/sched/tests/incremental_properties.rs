@@ -12,9 +12,9 @@ use magis_graph::algo::{is_topo_order, topo_order};
 use magis_graph::graph::{Graph, NodeId};
 use magis_models::{random_dnn, RandomDnnConfig};
 use magis_sched::{
-    full_schedule, incremental_schedule, reschedule_interval, IntervalParams, SchedConfig,
+    full_schedule, incremental_schedule, reschedule_interval_cached, IntervalParams, SchedConfig,
 };
-use magis_sim::memory_profile;
+use magis_sim::{memory_profile, MemObjective, MemoryTables};
 use magis_util::prop::prelude::*;
 use std::collections::BTreeSet;
 
@@ -42,6 +42,28 @@ fn remat_mutation(g: &Graph, pick: usize) -> Option<(Graph, BTreeSet<NodeId>)> {
     Some((g_new, [v, user].into_iter().collect()))
 }
 
+/// Algorithm 2 under the liveness objective, from the parent's
+/// from-scratch tables.
+fn reschedule(
+    g_old: &Graph,
+    g_new: &Graph,
+    s_old: &BTreeSet<NodeId>,
+    psi_old: &[NodeId],
+    cfg: &SchedConfig,
+) -> Vec<NodeId> {
+    let tables = MemoryTables::new(g_old, psi_old, MemObjective::Liveness, None).unwrap();
+    incremental_schedule(
+        g_new,
+        tables.as_parent(g_old, psi_old, s_old),
+        MemObjective::Liveness,
+        cfg,
+        &IntervalParams::default(),
+        None,
+    )
+    .unwrap()
+    .order
+}
+
 proptest! {
     // Each case runs the scheduler on a real (small) DNN; keep the
     // count modest so the suite stays fast.
@@ -54,7 +76,7 @@ proptest! {
         let s: BTreeSet<NodeId> =
             [psi[a % psi.len()], psi[b % psi.len()]].into_iter().collect();
         let (beg, end) =
-            reschedule_interval(&g, &s, &psi, &IntervalParams::default()).unwrap();
+            reschedule_interval_cached(&g, &s, &psi, &IntervalParams::default(), None).unwrap();
         prop_assert!(beg < end && end <= psi.len());
         for (i, v) in psi.iter().enumerate() {
             if s.contains(v) {
@@ -75,9 +97,7 @@ proptest! {
         prop_assume!(mutation.is_some());
         let (g_new, s_old) = mutation.unwrap();
 
-        let psi_new = incremental_schedule(
-            &g_old, &g_new, &s_old, &psi_old, &cfg, &IntervalParams::default(),
-        );
+        let psi_new = reschedule(&g_old, &g_new, &s_old, &psi_old, &cfg);
         prop_assert!(is_topo_order(&g_new, &psi_new), "merged order is a valid topo order");
         prop_assert_eq!(psi_new.len(), g_new.len());
 
@@ -102,8 +122,7 @@ proptest! {
         let psi_old = full_schedule(&g, &cfg);
         let s: BTreeSet<NodeId> =
             [psi_old[a % psi_old.len()], psi_old[b % psi_old.len()]].into_iter().collect();
-        let psi_new =
-            incremental_schedule(&g, &g, &s, &psi_old, &cfg, &IntervalParams::default());
+        let psi_new = reschedule(&g, &g, &s, &psi_old, &cfg);
         prop_assert!(is_topo_order(&g, &psi_new));
         let new_peak = memory_profile(&g, &psi_new).peak_bytes;
         let old_peak = memory_profile(&g, &psi_old).peak_bytes;

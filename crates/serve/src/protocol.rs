@@ -43,6 +43,10 @@ pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
 /// candidate-evaluation workers at every expansion; a larger request
 /// is rejected as a bad request rather than clamped.
 pub const MAX_THREADS: usize = 64;
+/// Largest `eval_cache` capacity a job may request: 64 times the
+/// optimizer's default of 1024. The cache keeps every evaluated state
+/// until it is full, so an unbounded capacity is unbounded memory.
+pub const MAX_EVAL_CACHE: usize = 65_536;
 
 /// Everything a client specifies about one optimization job. The
 /// canonical JSON rendering (minus the `client` field) doubles as the
@@ -54,7 +58,8 @@ pub struct JobSpec {
     /// Named workload to build (`unet`, `bert`, …). Exactly one of
     /// `workload` / `graph` must be set.
     pub workload: Option<String>,
-    /// Workload scale factor (1.0 = the paper's configuration).
+    /// Workload scale factor in `(0, 1]` (1.0 = the paper's
+    /// configuration).
     pub scale: f64,
     /// Inline graph record (the `magis_graph::io::to_record` text
     /// format), as an alternative to a named workload.
@@ -62,7 +67,8 @@ pub struct JobSpec {
     /// Optimization mode: `memory` or `latency`.
     pub mode: String,
     /// Mode limit: latency factor (memory mode) or memory fraction
-    /// (latency mode). `None` = the mode's default (1.10 / 0.8).
+    /// (latency mode), a positive finite number. `None` = the mode's
+    /// default (1.10 / 0.8).
     pub limit: Option<f64>,
     /// Memory accounting the search steers on.
     pub objective: MemObjective,
@@ -80,7 +86,8 @@ pub struct JobSpec {
     /// bit-identical for every value; default 1 keeps a loaded daemon
     /// from oversubscribing cores). 0 means 1; at most [`MAX_THREADS`].
     pub threads: usize,
-    /// Structural-hash eval-cache capacity for this job's search.
+    /// Structural-hash eval-cache capacity for this job's search, at
+    /// most [`MAX_EVAL_CACHE`].
     pub eval_cache: Option<usize>,
     /// Checkpoint cadence in merged evaluations.
     pub checkpoint_every: usize,
@@ -171,6 +178,11 @@ impl JobSpec {
         }
         if let Some(v) = get("scale") {
             s.scale = v.as_f64().ok_or("scale must be a number")?;
+            // Model builders treat any scale >= 1 as 1.0 and any scale
+            // <= 0 as their minimum shapes: reject both instead.
+            if !(s.scale > 0.0 && s.scale <= 1.0) {
+                return Err(format!("scale must be in (0, 1], not {}", s.scale));
+            }
         }
         if let Some(v) = get("graph") {
             s.graph = Some(v.as_str().ok_or("graph must be a string")?.to_string());
@@ -179,7 +191,11 @@ impl JobSpec {
             s.mode = v.as_str().ok_or("mode must be a string")?.to_string();
         }
         if let Some(v) = get("limit") {
-            s.limit = Some(v.as_f64().ok_or("limit must be a number")?);
+            let limit = v.as_f64().ok_or("limit must be a number")?;
+            if !(limit > 0.0 && limit.is_finite()) {
+                return Err(format!("limit must be a positive finite number, not {limit}"));
+            }
+            s.limit = Some(limit);
         }
         if let Some(v) = get("objective") {
             let name = v.as_str().ok_or("objective must be a string")?;
@@ -207,7 +223,11 @@ impl JobSpec {
             s.threads = (threads as usize).max(1);
         }
         if let Some(v) = get("eval_cache") {
-            s.eval_cache = Some(v.as_u64().ok_or("eval_cache must be an integer")? as usize);
+            let cap = v.as_u64().ok_or("eval_cache must be an integer")?;
+            if cap > MAX_EVAL_CACHE as u64 {
+                return Err(format!("eval_cache must be at most {MAX_EVAL_CACHE}, not {cap}"));
+            }
+            s.eval_cache = Some(cap as usize);
         }
         if let Some(v) = get("checkpoint_every") {
             s.checkpoint_every =
@@ -454,6 +474,45 @@ mod tests {
         for t in [MAX_THREADS as u64 + 1, u64::MAX] {
             let e = with_threads(t).unwrap_err();
             assert!(e.contains("threads"), "{e}");
+        }
+    }
+
+    /// `spec()` rendered with `key` replaced by `value`, then parsed.
+    fn with_field(key: &str, value: Json) -> Result<JobSpec, String> {
+        let mut j = spec().to_json();
+        if let Json::Obj(kvs) = &mut j {
+            kvs.retain(|(k, _)| k != key);
+            kvs.push((key.into(), value));
+        }
+        JobSpec::from_json(&j)
+    }
+
+    #[test]
+    fn eval_cache_is_bounded() {
+        let cap = |c: u64| with_field("eval_cache", Json::UInt(c));
+        assert_eq!(cap(0).unwrap().eval_cache, Some(0));
+        assert_eq!(cap(MAX_EVAL_CACHE as u64).unwrap().eval_cache, Some(MAX_EVAL_CACHE));
+        for c in [MAX_EVAL_CACHE as u64 + 1, u64::MAX] {
+            let e = cap(c).unwrap_err();
+            assert!(e.contains("eval_cache"), "{e}");
+        }
+    }
+
+    #[test]
+    fn scale_and_limit_are_bounded() {
+        let scale = |x: f64| with_field("scale", Json::Float(x));
+        assert_eq!(scale(1.0).unwrap().scale, 1.0);
+        assert_eq!(scale(0.05).unwrap().scale, 0.05);
+        for x in [0.0, -0.5, 1.0 + f64::EPSILON, 1.5, f64::NAN, f64::INFINITY] {
+            let e = scale(x).unwrap_err();
+            assert!(e.contains("scale"), "{x}: {e}");
+        }
+        let limit = |x: f64| with_field("limit", Json::Float(x));
+        assert_eq!(limit(0.8).unwrap().limit, Some(0.8));
+        assert_eq!(limit(1.3).unwrap().limit, Some(1.3));
+        for x in [0.0, -1.1, f64::NAN, f64::INFINITY] {
+            let e = limit(x).unwrap_err();
+            assert!(e.contains("limit"), "{x}: {e}");
         }
     }
 

@@ -220,7 +220,7 @@ impl CostModel {
     }
 
     /// `cost(G) ≈ Σ_v cost(v)` (§2.1), ignoring swap overlap. Use
-    /// [`crate::exec::simulate_latency`] for the overlap-aware figure.
+    /// [`crate::exec::simulate`] for the overlap-aware figure.
     pub fn graph_latency(&self, g: &Graph) -> f64 {
         g.node_ids().map(|v| self.node_latency(g, v)).sum()
     }

@@ -7,8 +7,8 @@
 //! (see ARCHITECTURE.md): `magis_sched::incremental` splices the
 //! parent schedule around the rewrite, and this module updates the
 //! parent's [`Lifetimes`] table instead of recomputing it from the
-//! whole graph. The result is **bit-identical** to a full
-//! [`memory_profile_checked`](crate::memory_profile_checked) — enforced
+//! whole graph. The result is **bit-identical** to a from-scratch
+//! [`MemoryTables::new`](crate::MemoryTables::new) — enforced
 //! by a `debug_assert!` here, by the optimizer's `--paranoia all`
 //! cross-check, and by the `incremental_eval` integration suite.
 //!
@@ -37,7 +37,7 @@
 use magis_graph::GraphView;
 use crate::cost::CostError;
 use crate::memory::{
-    check_coverage, compute_lifetimes, position_table, sweep, Endpoint, Lifetimes, MemoryProfile,
+    check_coverage, position_table, profile_lifetimes, sweep, Endpoint, Lifetimes, MemoryProfile,
 };
 use crate::memory::storage_root;
 use magis_graph::graph::{Graph, NodeId};
@@ -68,9 +68,9 @@ fn obs() -> &'static DeltaObs {
 /// from the orders themselves. Both orders must exactly cover their
 /// graphs (checked; `order_old`/`parent` are trusted to correspond).
 ///
-/// The result is bit-identical to `memory_profile_checked(g, order)`
-/// (with the returned [`Lifetimes`] equally canonical), at the cost of
-/// recomputing only the affected storage roots.
+/// The result is bit-identical to the from-scratch profile and
+/// [`Lifetimes`] table of `(g, order)` (the table is canonical), at
+/// the cost of recomputing only the affected storage roots.
 ///
 /// # Errors
 ///
@@ -84,20 +84,11 @@ pub fn memory_profile_delta(
     parent: &Lifetimes,
     touched: &BTreeSet<NodeId>,
 ) -> Result<(MemoryProfile, Lifetimes), CostError> {
-    check_coverage(g, order)?;
-    if order.is_empty() {
-        return Ok((
-            MemoryProfile { peak_bytes: 0, step_bytes: Vec::new(), hotspots: BTreeSet::new() },
-            Lifetimes::empty(),
-        ));
-    }
-    if order_old.is_empty() {
+    if order.is_empty() || order_old.is_empty() {
         // Nothing to reuse: degenerate to a full computation.
-        let pos = position_table(g, order);
-        let lt = compute_lifetimes(g, order, &pos);
-        let profile = sweep(&lt, &pos)?;
-        return Ok((profile, lt));
+        return profile_lifetimes(g, order);
     }
+    check_coverage(g, order)?;
     let pos = position_table(g, order);
 
     // Longest common prefix/suffix of the two schedules. Outside these
@@ -201,7 +192,7 @@ pub fn memory_profile_delta(
     // so full equality is the strongest possible check.
     #[cfg(debug_assertions)]
     {
-        let full_lt = compute_lifetimes(g, order, &pos);
+        let full_lt = crate::memory::compute_lifetimes(g, order, &pos);
         debug_assert_eq!(
             lt, full_lt,
             "delta lifetime table diverged from full recomputation"
@@ -217,7 +208,6 @@ pub fn memory_profile_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{memory_profile_checked, memory_profile_lifetimes};
     use magis_graph::algo::topo_order;
     use magis_graph::builder::GraphBuilder;
     use magis_graph::op::{OpKind, UnaryKind};
@@ -232,7 +222,7 @@ mod tests {
         touched: &BTreeSet<NodeId>,
     ) {
         let (dp, dlt) = memory_profile_delta(g, order, g_old, order_old, parent, touched).unwrap();
-        let (fp, flt) = memory_profile_lifetimes(g, order).unwrap();
+        let (fp, flt) = profile_lifetimes(g, order).unwrap();
         assert_eq!(dlt, flt, "lifetime tables must be canonical-equal");
         assert_eq!(dp.peak_bytes, fp.peak_bytes);
         assert_eq!(dp.step_bytes, fp.step_bytes);
@@ -252,7 +242,7 @@ mod tests {
     fn unchanged_schedule_reuses_everything() {
         let g = chain(12);
         let order = topo_order(&g);
-        let (_, lt) = memory_profile_lifetimes(&g, &order).unwrap();
+        let (_, lt) = profile_lifetimes(&g, &order).unwrap();
         assert_matches_full(&g, &order, &g, &order, &lt, &BTreeSet::new());
     }
 
@@ -260,7 +250,7 @@ mod tests {
     fn node_insertion_matches_full() {
         let g_old = chain(16);
         let order_old = topo_order(&g_old);
-        let (_, lt) = memory_profile_lifetimes(&g_old, &order_old).unwrap();
+        let (_, lt) = profile_lifetimes(&g_old, &order_old).unwrap();
         // Insert a recompute twin of node 8 feeding node 9's slot.
         let mut txn = magis_graph::GraphTxn::begin(&g_old);
         let target = order_old[8];
@@ -285,7 +275,7 @@ mod tests {
         let _j = b.add_op(u1, u2);
         let g_old = b.finish();
         let order_old = topo_order(&g_old);
-        let (_, lt) = memory_profile_lifetimes(&g_old, &order_old).unwrap();
+        let (_, lt) = profile_lifetimes(&g_old, &order_old).unwrap();
         let mut txn = magis_graph::GraphTxn::begin(&g_old);
         txn.redirect_uses(dup, a);
         txn.remove(dup).unwrap();
@@ -307,7 +297,7 @@ mod tests {
         let e = b.add_op(c, d);
         let g_old = b.finish();
         let order_old = vec![x, a, c, d, e];
-        let (_, lt) = memory_profile_lifetimes(&g_old, &order_old).unwrap();
+        let (_, lt) = profile_lifetimes(&g_old, &order_old).unwrap();
         let mut txn = magis_graph::GraphTxn::begin(&g_old);
         // e now reads `a` instead of `c`: c's storage is freed earlier.
         txn.replace_input(e, c, a);
@@ -315,8 +305,8 @@ mod tests {
         let order = order_old.clone();
         let touched: BTreeSet<NodeId> = [e].into_iter().collect();
         assert_matches_full(&g, &order, &g_old, &order_old, &lt, &touched);
-        let full = memory_profile_checked(&g, &order).unwrap();
-        let old = memory_profile_checked(&g_old, &order_old).unwrap();
+        let (full, _) = profile_lifetimes(&g, &order).unwrap();
+        let (old, _) = profile_lifetimes(&g_old, &order_old).unwrap();
         // Sanity: the rewire genuinely changed the profile somewhere.
         assert_ne!(full.step_bytes, old.step_bytes);
     }
@@ -336,7 +326,7 @@ mod tests {
         let j = bld.add(OpKind::Binary(BinaryKind::Add), &[a, cur]).unwrap();
         let g_old = bld.commit().0;
         let order_old = topo_order(&g_old);
-        let (_, lt) = memory_profile_lifetimes(&g_old, &order_old).unwrap();
+        let (_, lt) = profile_lifetimes(&g_old, &order_old).unwrap();
         // Swap `a` out and back in before its distant consumer.
         let mut txn = magis_graph::GraphTxn::begin(&g_old);
         let st = txn.add(OpKind::Store, &[a]).unwrap();
@@ -356,7 +346,7 @@ mod tests {
         let _y = b.relu(a);
         let g_old = b.finish();
         let order_old = topo_order(&g_old);
-        let (_, lt) = memory_profile_lifetimes(&g_old, &order_old).unwrap();
+        let (_, lt) = profile_lifetimes(&g_old, &order_old).unwrap();
         // Reshape view of `a` consumed late: extends a's lifetime via
         // the alias chain.
         let mut txn = magis_graph::GraphTxn::begin(&g_old);
@@ -372,7 +362,7 @@ mod tests {
     fn coverage_defect_is_typed() {
         let g = chain(4);
         let order = topo_order(&g);
-        let (_, lt) = memory_profile_lifetimes(&g, &order).unwrap();
+        let (_, lt) = profile_lifetimes(&g, &order).unwrap();
         let err =
             memory_profile_delta(&g, &order[..2], &g, &order, &lt, &BTreeSet::new()).unwrap_err();
         assert!(matches!(err, CostError::BadSchedule { .. }));

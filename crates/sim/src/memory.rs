@@ -79,29 +79,8 @@ pub fn memory_profile(g: &Graph, order: &[NodeId]) -> MemoryProfile {
     // A conservation violation here means the graph or schedule is
     // already corrupt; panicking beats the silent `as u64` wrap this
     // used to produce. Callers that must survive corruption use
-    // `memory_profile_checked`.
-    profile_impl(g, order).expect("memory accounting conserved")
-}
-
-/// [`memory_profile`] with every failure mode surfaced as a typed
-/// [`CostError`]: schedule/graph coverage mismatch, accumulator
-/// overflow, and negative running usage (conservation violations) all
-/// return errors instead of panicking or wrapping.
-pub fn memory_profile_checked(g: &Graph, order: &[NodeId]) -> Result<MemoryProfile, CostError> {
-    check_coverage(g, order)?;
-    profile_impl(g, order)
-}
-
-/// [`memory_profile_checked`] that additionally returns the per-root
-/// [`Lifetimes`] table the profile was swept from, so a later
-/// evaluation of a *derived* graph can update it incrementally with
-/// [`crate::delta::memory_profile_delta`].
-pub fn memory_profile_lifetimes(
-    g: &Graph,
-    order: &[NodeId],
-) -> Result<(MemoryProfile, Lifetimes), CostError> {
-    check_coverage(g, order)?;
-    profile_lifetimes_impl(g, order)
+    // `MemoryTables::new`.
+    profile_lifetimes(g, order).expect("memory accounting conserved").0
 }
 
 /// Exact schedule-coverage validation shared by every checked profiling
@@ -144,7 +123,7 @@ pub(crate) enum Endpoint {
 /// endpoints recorded by node provenance (the internal `Endpoint`
 /// type: a boundary or a pinning node) so they survive
 /// re-basing onto a spliced schedule. Produced by
-/// [`memory_profile_lifetimes`], consumed by
+/// [`crate::MemoryTables::new`], consumed by
 /// [`crate::delta::memory_profile_delta`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lifetimes {
@@ -387,10 +366,15 @@ pub(crate) fn position_table(g: &Graph, order: &[NodeId]) -> Vec<usize> {
     pos
 }
 
-fn profile_lifetimes_impl(
+/// The liveness profile of `g` under `order` plus the lifetime table
+/// it was swept from, with every failure mode surfaced as a typed
+/// [`CostError`]: schedule/graph coverage mismatch, accumulator
+/// overflow, and negative running usage (conservation violations).
+pub(crate) fn profile_lifetimes(
     g: &Graph,
     order: &[NodeId],
 ) -> Result<(MemoryProfile, Lifetimes), CostError> {
+    check_coverage(g, order)?;
     if order.is_empty() {
         return Ok((
             MemoryProfile { peak_bytes: 0, step_bytes: Vec::new(), hotspots: BTreeSet::new() },
@@ -401,10 +385,6 @@ fn profile_lifetimes_impl(
     let lt = compute_lifetimes(g, order, &pos);
     let profile = sweep(&lt, &pos)?;
     Ok((profile, lt))
-}
-
-fn profile_impl(g: &Graph, order: &[NodeId]) -> Result<MemoryProfile, CostError> {
-    profile_lifetimes_impl(g, order).map(|(p, _)| p)
 }
 
 #[cfg(test)]

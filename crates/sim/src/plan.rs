@@ -376,21 +376,12 @@ fn plan_from_parts(lt: &Lifetimes, pos: &[usize], steps: usize) -> Result<Memory
 /// exceeds `u64`.
 pub fn memory_plan(g: &Graph, order: &[NodeId]) -> Result<MemoryPlan, CostError> {
     check_coverage(g, order)?;
-    if order.is_empty() {
-        return Ok(MemoryPlan::empty());
-    }
-    let pos = position_table(g, order);
-    let lt = compute_lifetimes(g, order, &pos);
-    let plan = plan_from_parts(&lt, &pos, order.len())?;
-    obs().plans.inc();
-    record_plan(&plan);
-    Ok(plan)
+    plan_from_lifetimes(g, order, &compute_lifetimes(g, order, &position_table(g, order)))
 }
 
 /// [`memory_plan`] over an already-computed [`Lifetimes`] table (the
-/// one `memory_profile_lifetimes` or `memory_profile_delta` returned
-/// for this same `(g, order)` pair), skipping the lifetime
-/// recomputation.
+/// one a [`crate::MemoryTables`] or `memory_profile_delta` holds for
+/// this same `(g, order)` pair), skipping the lifetime recomputation.
 pub fn plan_from_lifetimes(
     g: &Graph,
     order: &[NodeId],

@@ -62,7 +62,7 @@ fn main() {
     // 3. Enable the deepest candidate and walk lift/mutate upward,
     // printing the trade-off at each step (the §5.1 search path).
     let cm = CostModel::default();
-    let base = evaluate(&g, &topo_order(&g), &cm);
+    let base = evaluate_checked(&g, &topo_order(&g), &cm).unwrap();
     println!(
         "\nbaseline: peak {:5.1} MiB latency {:5.2} ms",
         base.peak_bytes as f64 / (1 << 20) as f64,
@@ -71,7 +71,7 @@ fn main() {
     let mut tree = state.ftree.clone();
     let step = |tree: &FTree, label: &str| {
         let overlaid = build_overlay_graph(&g, tree).expect("valid overlay");
-        let ev = evaluate(&overlaid, &topo_order(&overlaid), &cm);
+        let ev = evaluate_checked(&overlaid, &topo_order(&overlaid), &cm).unwrap();
         println!(
             "{label:12} peak {:5.1} MiB ({:4.1}%)  latency {:5.2} ms ({:+5.1}%)",
             ev.peak_bytes as f64 / (1 << 20) as f64,

@@ -62,5 +62,5 @@ pub mod prelude {
         DType, Graph, GraphDelta, GraphTxn, GraphView, NodeId, OpKind, Shape, TensorMeta,
     };
     pub use magis_models::Workload;
-    pub use magis_sim::{evaluate, CostModel, DeviceSpec};
+    pub use magis_sim::{evaluate_checked, CostModel, DeviceSpec};
 }

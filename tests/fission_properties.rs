@@ -85,8 +85,8 @@ proptest! {
             // Node-count relationship: overlay is O(|S|); full is O(n·|S|).
             prop_assert!(full.len() > ov.len());
             // Latency agreement within 35%.
-            let ev_o = evaluate(&ov, &topo_order(&ov), &cm);
-            let ev_f = evaluate(&full, &topo_order(&full), &cm);
+            let ev_o = evaluate_checked(&ov, &topo_order(&ov), &cm).unwrap();
+            let ev_f = evaluate_checked(&full, &topo_order(&full), &cm).unwrap();
             let ratio = ev_o.latency / ev_f.latency;
             prop_assert!((0.65..1.55).contains(&ratio), "latency ratio {ratio}");
             // Both transforms keep every original graph output shape:

@@ -67,7 +67,7 @@ fn h_split_validates_and_has_halo() {
 fn h_split_overlay_annotates_halo_and_scales_interiors() {
     let (g, convs) = conv_chain();
     let cm = CostModel::default();
-    let base = evaluate(&g, &topo_order(&g), &cm);
+    let base = evaluate_checked(&g, &topo_order(&g), &cm).unwrap();
     let spec = h_spec(&g, &convs, 4);
     let mut txn = GraphTxn::begin(&g);
     let info = apply_overlay(&mut txn, &spec).unwrap();
@@ -76,7 +76,7 @@ fn h_split_overlay_annotates_halo_and_scales_interiors() {
     // The input part-slice carries the halo annotation.
     let ps = info.slices[0];
     assert!(matches!(ov.node(ps).op, OpKind::PartSlice { halo: 6, .. }));
-    let ev = evaluate(&ov, &topo_order(&ov), &cm);
+    let ev = evaluate_checked(&ov, &topo_order(&ov), &cm).unwrap();
     assert!(ev.latency > base.latency, "halo + utilization cost latency");
     // Interior shapes scaled along H only (dim 2 is H in NCHW).
     for &c in &convs {
@@ -95,11 +95,11 @@ fn h_split_pays_off_with_long_lifetimes_only() {
     let cm = CostModel::default();
     // Plain chain: fission is counterproductive (honest negative).
     let (g, convs) = conv_chain();
-    let base = evaluate(&g, &topo_order(&g), &cm);
+    let base = evaluate_checked(&g, &topo_order(&g), &cm).unwrap();
     let mut txn = GraphTxn::begin(&g);
     apply_overlay(&mut txn, &h_spec(&g, &convs, 4)).unwrap();
     let ov = txn.commit().0;
-    let ev = evaluate(&ov, &topo_order(&ov), &cm);
+    let ev = evaluate_checked(&ov, &topo_order(&ov), &cm).unwrap();
     assert!(
         ev.peak_bytes >= base.peak_bytes,
         "chain fission pins I/O without freeing anything"
@@ -126,14 +126,14 @@ fn h_split_pays_off_with_long_lifetimes_only() {
         acts.push(cur);
     }
     let g = b.finish();
-    let base = evaluate(&g, &topo_order(&g), &cm);
+    let base = evaluate_checked(&g, &topo_order(&g), &cm).unwrap();
     let spec = h_spec(&g, &acts, 4);
     spec.validate(&g).unwrap();
     let mut txn = GraphTxn::begin(&g);
     apply_overlay(&mut txn, &spec).unwrap();
     let ov = txn.commit().0;
     ov.validate().unwrap();
-    let ev = evaluate(&ov, &topo_order(&ov), &cm);
+    let ev = evaluate_checked(&ov, &topo_order(&ov), &cm).unwrap();
     assert!(
         ev.peak_bytes < base.peak_bytes,
         "H fission shrinks long-lived feature maps: {} < {}",

@@ -21,7 +21,9 @@ use magis::graph::op::{OpKind, UnaryKind};
 use magis::models::{random_dnn, RandomDnnConfig, Workload};
 use magis::prelude::*;
 use magis::sched::{full_schedule, SchedConfig};
-use magis::sim::{memory_plan, memory_plan_delta, memory_profile, MemoryPlan};
+use magis::sim::{
+    memory_plan, memory_plan_delta, memory_profile, MemObjective, MemoryPlan, MemoryTables,
+};
 use magis_util::rng::{Rng, SeedableRng, SmallRng};
 
 /// Schedules `g` and plans it, asserting the planner's internal
@@ -189,7 +191,9 @@ fn split_node(g: &Graph, rng: &mut SmallRng) -> Option<Graph> {
 /// bit-identical to planning it from scratch, and returns the plan.
 fn assert_delta_exact(name: &str, g_new: &Graph, parent: &MemoryPlan) -> MemoryPlan {
     let order = full_schedule(g_new, &SchedConfig::default());
-    let (_, lt) = magis::sim::memory_profile_lifetimes(g_new, &order).expect("profile");
+    let lt = MemoryTables::new(g_new, &order, MemObjective::Liveness, None)
+        .expect("profile")
+        .lifetimes;
     let full = memory_plan(g_new, &order).expect("full plan");
     let delta = memory_plan_delta(g_new, &order, &lt, parent).expect("delta plan");
     assert_eq!(delta, full, "{name}: delta re-plan bit-identical to full re-plan");

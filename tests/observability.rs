@@ -76,6 +76,17 @@ fn count_metrics_and_trace_set_identical_across_threads() {
     assert!(serial.counters["magis_core_queue_pushes"] > 0);
     assert!(serial.counters.keys().any(|k| k.starts_with("magis_core_candidate_outcomes{")));
 
+    // Every simulator evaluation is counted once in the total and once
+    // under its backend label, whichever entry point ran it.
+    let by_backend: u64 = serial
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("magis_sim_evaluations_by_backend{"))
+        .map(|(_, &n)| n)
+        .sum();
+    assert!(by_backend > 0);
+    assert_eq!(serial.counters["magis_sim_evaluations"], by_backend);
+
     // The trace identity multiset (everything except ts/dur/thread) is
     // identical: same spans, same events, same deterministic payloads.
     assert_eq!(serial.identities, parallel.identities);

@@ -8,7 +8,7 @@ use magis::core::rules::{self, RuleConfig, Transform};
 use magis::core::state::{EvalContext, MState};
 use magis::prelude::*;
 use magis::sched::{full_schedule, incremental_schedule, IntervalParams, SchedConfig};
-use magis::sim::memory_profile;
+use magis::sim::{memory_profile, MemObjective};
 use magis_graph::algo::{is_topo_order, topo_order};
 use magis_models::random_dnn::{random_dnn, RandomDnnConfig};
 use magis_util::prop::prelude::*;
@@ -39,13 +39,15 @@ proptest! {
         let t = &cands[seed as usize % cands.len()];
         let Ok(applied) = rules::apply(&state, t) else { return Ok(()); };
         let order = incremental_schedule(
-            &state.eval.graph,
             &applied.base,
-            &applied.mutated,
-            &state.eval.order,
+            state.eval.as_parent(&applied.mutated),
+            MemObjective::Liveness,
             &SchedConfig::default(),
             &IntervalParams::default(),
-        );
+            None,
+        )
+        .expect("memory accounting conserved")
+        .order;
         prop_assert!(is_topo_order(&applied.base, &order));
         // Quality: incremental within 25% of scheduling from scratch.
         let fs = full_schedule(&applied.base, &SchedConfig::default());

@@ -164,6 +164,28 @@ fn hostile_requests_get_4xx_and_the_daemon_keeps_serving() {
         other => panic!("expected a threads rejection, got {other:?}"),
     }
 
+    // Out-of-range numeric fields are refused at admission too, each
+    // with a reason that names the field.
+    let max_cache = magis::serve::protocol::MAX_EVAL_CACHE;
+    let hostile: [(&str, JobSpec); 7] = [
+        ("eval_cache", JobSpec { eval_cache: Some(max_cache + 1), ..unet_spec(20) }),
+        ("eval_cache", JobSpec { eval_cache: Some(usize::MAX), ..unet_spec(20) }),
+        ("scale", JobSpec { scale: 0.0, ..unet_spec(20) }),
+        ("scale", JobSpec { scale: -0.15, ..unet_spec(20) }),
+        ("scale", JobSpec { scale: 2.0, ..unet_spec(20) }),
+        ("limit", JobSpec { limit: Some(0.0), ..unet_spec(20) }),
+        ("limit", JobSpec { limit: Some(-1.1), ..unet_spec(20) }),
+    ];
+    for (field, spec) in hostile {
+        match c.submit_nowait(&spec) {
+            Err(ServeError::Rejected { code, error }) => {
+                assert!((400..500).contains(&code), "bad {field} gets a 4xx, not {code}");
+                assert!(error.contains(field), "reason names {field}: {error}");
+            }
+            other => panic!("expected a {field} rejection, got {other:?}"),
+        }
+    }
+
     // The daemon is still alive and completes a well-formed job.
     let mut c = Client::connect(addr).expect("connect after the hostile requests");
     let out = c.submit_and_wait(&unet_spec(20)).expect("submit");
