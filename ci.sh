@@ -75,6 +75,10 @@ run cargo test -q --test incremental_eval
 # rewrite sequence.
 run cargo test -q --test memory_planner
 
+# The delta == from-scratch differentials again in the release build the
+# benchmark times, where debug assertions and overflow checks are off.
+run cargo test --release -q --test memory_planner --test incremental_eval
+
 # Planned objective at search level: paranoid cross-checks of every
 # delta-planned candidate, and thread-count determinism of the planned
 # peak / fragmentation ratio / accepted-candidate sequence.

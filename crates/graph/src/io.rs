@@ -142,6 +142,13 @@ impl From<GraphError> for RecordError {
 /// changes incompatibly (readers reject unknown versions).
 const RECORD_HEADER: &str = "magis-graph v1";
 
+/// Largest arena capacity a record may declare. The decoder allocates
+/// one slot per unit of `cap` before it parses any node, so an
+/// unchecked `cap` line could ask for terabytes and abort the process.
+/// The largest bench model at scale 1.0 (BTLM-3B, 2,847 slots) leaves
+/// this bound over 90x headroom for graphs grown by search rewrites.
+pub const MAX_RECORD_CAP: usize = 1 << 18;
+
 fn join_ids(ids: &[NodeId]) -> String {
     if ids.is_empty() {
         return "-".to_string();
@@ -534,6 +541,30 @@ fn parse_op_token(token: &str, line: usize) -> Result<OpKind, RecordError> {
     })
 }
 
+/// Reads a record's header and declared arena capacity without parsing
+/// any node — the cheap admission check for untrusted records.
+///
+/// # Errors
+///
+/// [`RecordError::Syntax`] on a bad header or `cap` line, or a `cap`
+/// above [`MAX_RECORD_CAP`].
+pub fn record_capacity(text: &str) -> Result<usize, RecordError> {
+    let mut lines = text.lines();
+    let header = lines.next().ok_or_else(|| syntax(1, "empty record"))?;
+    if header.trim() != RECORD_HEADER {
+        return Err(syntax(1, format!("bad header '{header}' (expected '{RECORD_HEADER}')")));
+    }
+    let cap_line = lines.next().ok_or_else(|| syntax(2, "missing cap line"))?;
+    let cap = cap_line
+        .strip_prefix("cap ")
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .ok_or_else(|| syntax(2, format!("bad cap line '{cap_line}'")))?;
+    if cap > MAX_RECORD_CAP {
+        return Err(syntax(2, format!("cap {cap} exceeds the limit of {MAX_RECORD_CAP}")));
+    }
+    Ok(cap)
+}
+
 /// Parses a record produced by [`to_record`] back into a graph.
 ///
 /// Restored [`NodeId`]s equal the serialized ones (tombstones and all),
@@ -542,22 +573,15 @@ fn parse_op_token(token: &str, line: usize) -> Result<OpKind, RecordError> {
 ///
 /// # Errors
 ///
-/// [`RecordError::Syntax`] on any malformed line; [`RecordError::Graph`]
-/// if the parsed structure fails [`Graph::restore`]'s checks.
+/// [`RecordError::Syntax`] on any malformed line, including a `cap`
+/// above [`MAX_RECORD_CAP`] (rejected before anything is allocated);
+/// [`RecordError::Graph`] if the parsed structure fails
+/// [`Graph::restore`]'s checks.
 pub fn from_record(text: &str) -> Result<Graph, RecordError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| syntax(1, "empty record"))?;
-    if header.trim() != RECORD_HEADER {
-        return Err(syntax(1, format!("bad header '{header}' (expected '{RECORD_HEADER}')")));
-    }
-    let (_, cap_line) = lines.next().ok_or_else(|| syntax(2, "missing cap line"))?;
-    let cap = cap_line
-        .strip_prefix("cap ")
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .ok_or_else(|| syntax(2, format!("bad cap line '{cap_line}'")))?;
+    let cap = record_capacity(text)?;
     let mut slots: Vec<Option<NodeRecord>> = (0..cap).map(|_| None).collect();
     let mut saw_end = false;
-    for (i, raw) in lines {
+    for (i, raw) in text.lines().enumerate().skip(2) {
         let ln = i + 1;
         let line = raw.trim_end();
         if line == "end" {
@@ -735,6 +759,29 @@ mod tests {
         // Garbage op token.
         let bad = rec.replace("matmul:nn", "warpdrive:9");
         assert!(matches!(from_record(&bad), Err(RecordError::Syntax { .. })));
+    }
+
+    #[test]
+    fn record_rejects_a_cap_above_the_limit_before_allocating() {
+        let g = sample();
+        let rec = to_record(&g);
+        let cap_line = format!("cap {}", g.capacity());
+        // At the limit the record still decodes (as a tombstone-padded
+        // arena).
+        let at_limit = rec.replace(&cap_line, &format!("cap {MAX_RECORD_CAP}"));
+        assert_eq!(record_capacity(&at_limit), Ok(MAX_RECORD_CAP));
+        assert_eq!(from_record(&at_limit).expect("cap at the limit").capacity(), MAX_RECORD_CAP);
+        for cap in [MAX_RECORD_CAP as u64 + 1, 1 << 40, u64::MAX] {
+            let hostile = rec.replace(&cap_line, &format!("cap {cap}"));
+            for err in [record_capacity(&hostile).unwrap_err(), from_record(&hostile).unwrap_err()] {
+                match err {
+                    RecordError::Syntax { line: 2, msg } => {
+                        assert!(msg.contains("exceeds the limit"), "cap {cap}: {msg}")
+                    }
+                    other => panic!("cap {cap}: expected a cap-line error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

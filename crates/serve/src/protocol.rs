@@ -185,7 +185,11 @@ impl JobSpec {
             }
         }
         if let Some(v) = get("graph") {
-            s.graph = Some(v.as_str().ok_or("graph must be a string")?.to_string());
+            let record = v.as_str().ok_or("graph must be a string")?;
+            // Refuse a hostile arena size here: the worker's decoder
+            // would reject it too, but only after the job was admitted.
+            magis_graph::io::record_capacity(record).map_err(|e| e.to_string())?;
+            s.graph = Some(record.to_string());
         }
         if let Some(v) = get("mode") {
             s.mode = v.as_str().ok_or("mode must be a string")?.to_string();

@@ -1071,4 +1071,13 @@ mod tests {
             assert!(line.len() * 4 <= MAX_LINE, "{w:?}: {} bytes", line.len());
         }
     }
+
+    #[test]
+    fn bench_model_records_fit_under_max_record_cap_with_headroom() {
+        use magis_graph::io::{record_capacity, to_record, MAX_RECORD_CAP};
+        for w in Workload::all() {
+            let cap = record_capacity(&to_record(&w.build(1.0).graph)).expect("a valid record");
+            assert!(cap * 4 <= MAX_RECORD_CAP, "{w:?}: cap {cap}");
+        }
+    }
 }

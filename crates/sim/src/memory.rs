@@ -345,16 +345,19 @@ pub(crate) fn sweep(lt: &Lifetimes, pos: &[usize]) -> Result<MemoryProfile, Cost
     }
     let peak_bytes = step_bytes.iter().copied().max().unwrap_or(0);
 
-    let mut hotspots = BTreeSet::new();
-    for (i, &m) in step_bytes.iter().enumerate() {
-        if m == peak_bytes {
-            for r in 0..cap {
-                if lt.bytes[r] > 0 && resolve_alloc(r) <= i && i <= resolve_free(r) {
-                    hotspots.insert(NodeId::from_index(r));
-                }
-            }
-        }
+    // `peaks_upto[i]` counts the peak steps before step `i`, so a root
+    // is live at some peak step iff its interval's count is positive.
+    let mut peaks_upto = Vec::with_capacity(steps + 1);
+    peaks_upto.push(0usize);
+    for &m in &step_bytes {
+        peaks_upto.push(peaks_upto[peaks_upto.len() - 1] + usize::from(m == peak_bytes));
     }
+    let hotspots = (0..cap)
+        .filter(|&r| {
+            lt.bytes[r] > 0 && peaks_upto[resolve_free(r) + 1] > peaks_upto[resolve_alloc(r)]
+        })
+        .map(NodeId::from_index)
+        .collect();
     Ok(MemoryProfile { peak_bytes, step_bytes, hotspots })
 }
 
@@ -515,6 +518,51 @@ mod tests {
         }
         assert!(!p.hotspots.is_empty());
         assert_eq!(p.step_bytes.len(), g.len());
+    }
+
+    /// Quadratic reference for the hot-spot set: scan every root at
+    /// every peak step.
+    fn brute_force_hotspots(g: &Graph, order: &[NodeId]) -> BTreeSet<NodeId> {
+        let pos = position_table(g, order);
+        let lt = compute_lifetimes(g, order, &pos);
+        let resolve = |ep: Endpoint, boundary: usize| match ep {
+            Endpoint::Boundary => boundary,
+            Endpoint::At(n) => pos[n.index()],
+        };
+        let mut hot = BTreeSet::new();
+        for i in memory_profile(g, order).peak_steps() {
+            for r in (0..lt.bytes.len()).filter(|&r| lt.bytes[r] > 0) {
+                if resolve(lt.alloc[r], 0) <= i && i <= resolve(lt.free[r], order.len() - 1) {
+                    hot.insert(NodeId::from_index(r));
+                }
+            }
+        }
+        hot
+    }
+
+    #[test]
+    fn hotspots_match_brute_force_on_a_peak_plateau() {
+        // Every step of an equal-size chain is a peak step: the case
+        // where rescanning all roots per peak step goes quadratic.
+        let g = chain(2000);
+        let order = topo_order(&g);
+        let p = memory_profile(&g, &order);
+        assert!(p.peak_steps().len() >= 1999, "the chain is one long plateau");
+        assert_eq!(p.hotspots, brute_force_hotspots(&g, &order));
+        assert_eq!(p.hotspots.len(), g.len(), "every tensor is live at some peak");
+    }
+
+    #[test]
+    fn hotspots_match_brute_force_on_random_dnns() {
+        use magis_models::{random_dnn, RandomDnnConfig};
+        let cfg = RandomDnnConfig { batch: 2, channels: 8, hw: 8, cells: 3, blocks: 3 };
+        for seed in 0..6u64 {
+            let g = random_dnn(&cfg, seed);
+            let order = topo_order(&g);
+            let p = memory_profile(&g, &order);
+            assert!(!p.hotspots.is_empty(), "seed {seed}: some root is hot");
+            assert_eq!(p.hotspots, brute_force_hotspots(&g, &order), "seed {seed}");
+        }
     }
 
     #[test]

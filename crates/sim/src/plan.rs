@@ -23,6 +23,13 @@
 //! [`memory_plan_delta`] exact: at the first diverging event it can
 //! reconstruct the allocator from the live set alone and replay the
 //! suffix, bit-identical to a from-scratch plan.
+//!
+//! The canonical order comes from one stable counting sort keyed by
+//! `2·time + kind` over roots in ascending id (`O(roots + steps)`),
+//! for a parent plan's placements too. [`MemoryPlan::allocations`] is
+//! in canonical alloc order (allocation step, then root id), so the
+//! delta planner copies the parent's k-th placement for the k-th alloc
+//! event of the clean prefix, by position.
 
 use crate::cost::CostError;
 use crate::memory::{check_coverage, compute_lifetimes, position_table, Endpoint, Lifetimes};
@@ -145,19 +152,18 @@ fn record_plan(plan: &MemoryPlan) {
     obs().fragmentation.set(plan.fragmentation_ratio());
 }
 
-/// Event kinds, ordered so that at equal times frees happen before
-/// allocations: a tensor dead at step `t` vacates its region before
-/// the step-`t` allocations are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Event kinds: at equal times frees happen before allocations, so a
+/// tensor dead at step `t` vacates its region before the step-`t`
+/// allocations are placed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     Free,
     Alloc,
 }
 
-/// One allocator event in the canonical replay order. Field order is
-/// the sort key: time, frees-before-allocs, then root id as the
-/// deterministic tiebreak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One allocator event in the canonical replay order: time,
+/// frees-before-allocs, then root id as the deterministic tiebreak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     time: usize,
     kind: EventKind,
@@ -165,43 +171,71 @@ struct Event {
     bytes: u64,
 }
 
-/// Resolves a lifetime table into the canonical event list. Endpoint
-/// resolution mirrors the liveness sweep exactly: alloc `Boundary` is
-/// step 0, free `Boundary` is the last step, and the free event fires
-/// one step *after* the inclusive free step.
-fn events_of(lt: &Lifetimes, pos: &[usize]) -> Vec<Event> {
-    let steps = lt.steps;
-    let mut events = Vec::new();
-    for (r, &bytes) in lt.bytes.iter().enumerate() {
-        if bytes == 0 {
-            continue;
-        }
-        let root = NodeId::from_index(r);
-        let a = match lt.alloc[r] {
-            Endpoint::Boundary => 0,
-            Endpoint::At(n) => pos[n.index()],
-        };
-        let f = match lt.free[r] {
-            Endpoint::Boundary => steps - 1,
-            Endpoint::At(n) => pos[n.index()],
-        };
-        events.push(Event { time: a, kind: EventKind::Alloc, root, bytes });
-        events.push(Event { time: f + 1, kind: EventKind::Free, root, bytes });
+/// Marks a root with no live placement in the node-indexed table.
+const NOT_LIVE: usize = usize::MAX;
+
+/// Canonical event list of `(root, bytes, alloc step, inclusive free
+/// step)` intervals given in ascending root order: one stable counting
+/// sort keyed by `2·time + kind`, where the free event fires one step
+/// after the inclusive free step (so every key is below `2·steps + 1`).
+fn canonical_events<I>(steps: usize, intervals: I) -> Vec<Event>
+where
+    I: Iterator<Item = (NodeId, u64, usize, usize)> + Clone,
+{
+    // `start[k + 1]` counts key `k`; the prefix sum turns it into the
+    // first slot of key `k + 1`.
+    let mut start = vec![0usize; 2 * steps + 2];
+    for (_, _, a, f) in intervals.clone() {
+        start[2 * a + 2] += 1;
+        start[2 * f + 3] += 1;
     }
-    events.sort_unstable();
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let blank = Event { time: 0, kind: EventKind::Free, root: NodeId::from_index(0), bytes: 0 };
+    let mut events = vec![blank; start[start.len() - 1]];
+    for (root, bytes, a, f) in intervals {
+        let alloc = (2 * a + 1, a, EventKind::Alloc);
+        for (key, time, kind) in [alloc, (2 * f + 2, f + 1, EventKind::Free)] {
+            events[start[key]] = Event { time, kind, root, bytes };
+            start[key] += 1;
+        }
+    }
     events
 }
 
+/// Resolves a lifetime table into the canonical event list. Endpoint
+/// resolution mirrors the liveness sweep exactly: alloc `Boundary` is
+/// step 0 and free `Boundary` is the last step.
+fn events_of(lt: &Lifetimes, pos: &[usize]) -> Vec<Event> {
+    let steps = lt.steps;
+    canonical_events(
+        steps,
+        lt.bytes.iter().enumerate().filter(|&(_, &b)| b > 0).map(move |(r, &bytes)| {
+            let a = match lt.alloc[r] {
+                Endpoint::Boundary => 0,
+                Endpoint::At(n) => pos[n.index()],
+            };
+            let f = match lt.free[r] {
+                Endpoint::Boundary => steps - 1,
+                Endpoint::At(n) => pos[n.index()],
+            };
+            (NodeId::from_index(r), bytes, a, f)
+        }),
+    )
+}
+
 /// Rebuilds the canonical event list from a finished plan's
-/// placements — the delta planner diffs a child's events against this.
+/// placements — scattered by root index, then counting-sorted — for
+/// the delta planner to diff a child's events against.
 fn events_of_plan(plan: &MemoryPlan) -> Vec<Event> {
-    let mut events = Vec::with_capacity(plan.allocs.len() * 2);
+    let cap = plan.allocs.iter().map(|a| a.root.index() + 1).max().unwrap_or(0);
+    let mut by_root = vec![None; cap];
     for a in &plan.allocs {
-        events.push(Event { time: a.alloc_step, kind: EventKind::Alloc, root: a.root, bytes: a.bytes });
-        events.push(Event { time: a.free_step + 1, kind: EventKind::Free, root: a.root, bytes: a.bytes });
+        by_root[a.root.index()] = Some(a);
     }
-    events.sort_unstable();
-    events
+    let intervals = by_root.iter().flatten().map(|a| (a.root, a.bytes, a.alloc_step, a.free_step));
+    canonical_events(plan.steps, intervals)
 }
 
 /// Best-fit free list with block coalescing. The state invariant that
@@ -290,45 +324,38 @@ impl FreeList {
 }
 
 /// Replays `events` through the allocator, appending placements to
-/// `allocs` and maintaining `live` (root -> placement index).
+/// `allocs`. `live` maps a root index to its placement's index in
+/// `allocs` ([`NOT_LIVE`] when unplaced).
 fn replay(
     events: &[Event],
     fl: &mut FreeList,
-    live: &mut BTreeMap<NodeId, (u64, u64)>,
+    live: &mut [usize],
     allocs: &mut Vec<PlannedAlloc>,
-    free_steps: &BTreeMap<NodeId, usize>,
 ) -> Result<(), CostError> {
     for e in events {
         match e.kind {
             EventKind::Alloc => {
                 let offset = fl.alloc(e.bytes, e.time)?;
-                live.insert(e.root, (offset, e.bytes));
-                allocs.push(PlannedAlloc {
-                    root: e.root,
-                    bytes: e.bytes,
-                    offset,
-                    alloc_step: e.time,
-                    free_step: free_steps[&e.root],
-                });
+                live[e.root.index()] = allocs.len();
+                let (root, bytes, alloc_step) = (e.root, e.bytes, e.time);
+                allocs.push(PlannedAlloc { root, bytes, offset, alloc_step, free_step: 0 });
             }
             EventKind::Free => {
-                let (offset, bytes) =
-                    live.remove(&e.root).expect("free of a root that was never allocated");
-                fl.free(offset, bytes);
+                let a = close(e, live, allocs);
+                fl.free(a.offset, a.bytes);
             }
         }
     }
     Ok(())
 }
 
-/// Inclusive free step per root, read off the canonical event list
-/// (the free event fires one step after it).
-fn free_steps_of(events: &[Event]) -> BTreeMap<NodeId, usize> {
-    events
-        .iter()
-        .filter(|e| e.kind == EventKind::Free)
-        .map(|e| (e.root, e.time - 1))
-        .collect()
+/// Retires a free event's placement from `live` and records its
+/// inclusive free step (the event fires one step after it).
+fn close<'a>(e: &Event, live: &mut [usize], allocs: &'a mut [PlannedAlloc]) -> &'a PlannedAlloc {
+    let k = std::mem::replace(&mut live[e.root.index()], NOT_LIVE);
+    let a = allocs.get_mut(k).expect("free of a root that was never allocated");
+    a.free_step = e.time - 1;
+    a
 }
 
 /// Liveness peak over the event list: fold the running live sum in
@@ -355,12 +382,13 @@ fn plan_from_parts(lt: &Lifetimes, pos: &[usize], steps: usize) -> Result<Memory
         return Ok(MemoryPlan::empty());
     }
     let events = events_of(lt, pos);
-    let free_steps = free_steps_of(&events);
-    let mut fl = FreeList::new();
-    let mut live = BTreeMap::new();
+    let mut live = vec![NOT_LIVE; lt.bytes.len()];
     let mut allocs = Vec::with_capacity(events.len() / 2);
-    replay(&events, &mut fl, &mut live, &mut allocs, &free_steps)?;
-    debug_assert!(live.is_empty(), "every allocation is freed by its (inclusive) free step + 1");
+    replay(&events, &mut FreeList::new(), &mut live, &mut allocs)?;
+    debug_assert!(
+        live.iter().all(|&k| k == NOT_LIVE),
+        "every allocation is freed by its (inclusive) free step + 1"
+    );
     let planned_peak_bytes = allocs.iter().map(|a| a.offset + a.bytes).max().unwrap_or(0);
     let liveness_peak_bytes = liveness_peak_of(&events)?;
     Ok(MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps, allocs })
@@ -423,39 +451,30 @@ pub fn memory_plan_delta(
     let events = events_of(lt, &pos);
     let old_events = events_of_plan(parent);
     let lcp = events.iter().zip(&old_events).take_while(|(a, b)| a == b).count();
-    let free_steps = free_steps_of(&events);
 
-    // Parent placements by root, for the clean-prefix copy.
-    let parent_offsets: BTreeMap<NodeId, u64> =
-        parent.allocs.iter().map(|a| (a.root, a.offset)).collect();
-
-    let mut live: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
+    // Both lists are canonical, so the k-th alloc event of the clean
+    // prefix is the parent's k-th placement: copy it (its free step is
+    // rewritten when the root's free event is reached).
+    let mut live = vec![NOT_LIVE; lt.bytes.len()];
     let mut allocs = Vec::with_capacity(events.len() / 2);
-    let mut reused = 0u64;
     for e in &events[..lcp] {
         match e.kind {
             EventKind::Alloc => {
-                let offset = parent_offsets[&e.root];
-                live.insert(e.root, (offset, e.bytes));
-                allocs.push(PlannedAlloc {
-                    root: e.root,
-                    bytes: e.bytes,
-                    offset,
-                    alloc_step: e.time,
-                    free_step: free_steps[&e.root],
-                });
-                reused += 1;
+                live[e.root.index()] = allocs.len();
+                allocs.push(parent.allocs[allocs.len()].clone());
             }
-            EventKind::Free => {
-                live.remove(&e.root);
-            }
+            EventKind::Free => _ = close(e, &mut live, &mut allocs),
         }
     }
+    let reused = allocs.len() as u64;
     // The allocator state at the divergence point is a pure function
-    // of what is occupied — reconstruct it and replay the dirty tail.
-    let mut fl = FreeList::from_occupied(live.values().copied().collect());
-    replay(&events[lcp..], &mut fl, &mut live, &mut allocs, &free_steps)?;
-    debug_assert!(live.is_empty());
+    // of what is occupied — reconstruct it from the prefix placements
+    // still live and replay the dirty tail.
+    let occupied =
+        allocs.iter().filter(|a| live[a.root.index()] != NOT_LIVE).map(|a| (a.offset, a.bytes));
+    let mut fl = FreeList::from_occupied(occupied.collect());
+    replay(&events[lcp..], &mut fl, &mut live, &mut allocs)?;
+    debug_assert!(live.iter().all(|&k| k == NOT_LIVE));
     let planned_peak_bytes = allocs.iter().map(|a| a.offset + a.bytes).max().unwrap_or(0);
     let liveness_peak_bytes = liveness_peak_of(&events)?;
     let plan = MemoryPlan { planned_peak_bytes, liveness_peak_bytes, steps, allocs };

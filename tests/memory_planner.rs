@@ -243,3 +243,103 @@ fn delta_replanning_matches_full_across_a_randomized_rewrite_sequence() {
         assert!(applied >= 6, "seed {seed}: the rewrite sequence did real work ({applied})");
     }
 }
+
+/// Moves one random node later in `order`, to a random slot before its
+/// first consumer: a pure reorder of the same graph that stays
+/// topological and keeps the schedule prefix before the node clean.
+fn sink_one_node(g: &Graph, order: &[NodeId], rng: &mut SmallRng) -> Option<Vec<NodeId>> {
+    let mut pos = vec![usize::MAX; g.capacity()];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v.index()] = i;
+    }
+    for _ in 0..32 {
+        let i = rng.gen_range(0..order.len());
+        let limit =
+            g.node(order[i]).succs().iter().map(|s| pos[s.index()]).min().unwrap_or(order.len());
+        if limit > i + 1 {
+            let mut moved = order.to_vec();
+            let v = moved.remove(i);
+            moved.insert(rng.gen_range(i + 1..limit), v);
+            return Some(moved);
+        }
+    }
+    None
+}
+
+#[test]
+fn delta_plans_chain_exactly_through_a_mixed_rewrite_and_reorder_lineage() {
+    let cfg = RandomDnnConfig { batch: 2, channels: 8, hw: 8, cells: 3, blocks: 3 };
+    let mut lineages: Vec<(String, Graph)> =
+        (0..3u64).map(|s| (format!("random_dnn(seed={s})"), random_dnn(&cfg, s))).collect();
+    lineages.push(("bert@0.1".into(), Workload::BertBase.build(0.1).graph));
+    for (seed, (name, mut g)) in lineages.into_iter().enumerate() {
+        let (mut order, mut plan) = plan_of(&g);
+        let mut rng = SmallRng::seed_from_u64(seed as u64 ^ 0x11FE);
+        let (mut steps, mut reorders) = (0, 0);
+        for _ in 0..64 {
+            if steps >= 16 {
+                break;
+            }
+            // Each step's parent is the previous step's delta plan, so
+            // any drift would compound down the lineage.
+            let (g_new, order_new) = match rng.gen_range(0..3u32) {
+                0 => match insert_relu_twin(&g, &mut rng) {
+                    Some(g_new) => {
+                        let o = full_schedule(&g_new, &SchedConfig::default());
+                        (g_new, o)
+                    }
+                    None => continue,
+                },
+                1 => match split_node(&g, &mut rng) {
+                    Some(g_new) => {
+                        let o = full_schedule(&g_new, &SchedConfig::default());
+                        (g_new, o)
+                    }
+                    None => continue,
+                },
+                _ => match sink_one_node(&g, &order, &mut rng) {
+                    Some(o) => {
+                        reorders += 1;
+                        (g.clone(), o)
+                    }
+                    None => continue,
+                },
+            };
+            assert!(magis::graph::algo::is_topo_order(&g_new, &order_new), "{name}: topological");
+            let lt = MemoryTables::new(&g_new, &order_new, MemObjective::Liveness, None)
+                .expect("profile")
+                .lifetimes;
+            let delta = memory_plan_delta(&g_new, &order_new, &lt, &plan).expect("delta plan");
+            let full = memory_plan(&g_new, &order_new).expect("full plan");
+            assert_eq!(delta, full, "{name} step {steps}: delta plan equals the from-scratch plan");
+            (g, order, plan) = (g_new, order_new, delta);
+            steps += 1;
+        }
+        assert!(steps >= 16, "{name}: the lineage ran {steps} chained steps");
+        assert!(reorders >= 2, "{name}: the lineage mixed in pure reorders ({reorders})");
+    }
+}
+
+#[test]
+fn allocations_are_in_canonical_alloc_order() {
+    // The delta planner copies the parent's k-th placement for the k-th
+    // clean alloc event, which holds only if `allocations()` is sorted
+    // by (allocation step, root id) — for full and delta plans alike.
+    for (name, g) in property_graphs() {
+        let (order, plan) = plan_of(&g);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let reordered = sink_one_node(&g, &order, &mut rng).expect("some node can sink");
+        let lt = MemoryTables::new(&g, &reordered, MemObjective::Liveness, None)
+            .expect("profile")
+            .lifetimes;
+        let delta = memory_plan_delta(&g, &reordered, &lt, &plan).expect("delta plan");
+        for (kind, p) in [("full", &plan), ("delta", &delta)] {
+            let keys: Vec<(usize, NodeId)> =
+                p.allocations().iter().map(|a| (a.alloc_step, a.root)).collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "{name}: {kind} plan's allocations are strictly sorted by (alloc_step, root)"
+            );
+        }
+    }
+}

@@ -186,6 +186,28 @@ fn hostile_requests_get_4xx_and_the_daemon_keeps_serving() {
         }
     }
 
+    // A graph record declaring a huge arena is refused before anything
+    // is sized from it; decoding it would abort the daemon.
+    use magis::graph::GraphView;
+    let g = magis::models::Workload::UNet.build(0.15).graph;
+    let record = magis::graph::io::to_record(&g);
+    let cap_line = format!("cap {}", g.capacity());
+    let max_cap = magis::graph::io::MAX_RECORD_CAP as u64;
+    for cap in [max_cap + 1, 1 << 40, u64::MAX] {
+        let spec = JobSpec {
+            workload: None,
+            graph: Some(record.replace(&cap_line, &format!("cap {cap}"))),
+            ..unet_spec(20)
+        };
+        match c.submit_nowait(&spec) {
+            Err(ServeError::Rejected { code, error }) => {
+                assert!((400..500).contains(&code), "cap {cap} gets a 4xx, not {code}");
+                assert!(error.contains("cap"), "reason names the cap: {error}");
+            }
+            other => panic!("expected a cap {cap} rejection, got {other:?}"),
+        }
+    }
+
     // The daemon is still alive and completes a well-formed job.
     let mut c = Client::connect(addr).expect("connect after the hostile requests");
     let out = c.submit_and_wait(&unet_spec(20)).expect("submit");
