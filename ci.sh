@@ -79,6 +79,11 @@ run cargo test -q --test memory_planner
 # benchmark times, where debug assertions and overflow checks are off.
 run cargo test --release -q --test memory_planner --test incremental_eval
 
+# M-Analyzer differential: the dense F-Tree construction must equal the
+# set-based reference (bench models, random DNNs, rewrite lineages),
+# also in the release build the benchmark times.
+run cargo test --release -q -p magis-core --test ftree_differential
+
 # Planned objective at search level: paranoid cross-checks of every
 # delta-planned candidate, and thread-count determinism of the planned
 # peak / fragmentation ratio / accepted-candidate sequence.

@@ -547,6 +547,7 @@ fn print_summary(seed_cost: (u64, f64), res: &OptimizeResult) {
     row("time: transform", secs(s.trans_time));
     row("time: sched + sim", secs(s.sched_sim_time));
     row("time: hash / filter", secs(s.hash_time));
+    row("time: F-Tree analysis", format!("{}  ({} analyses)", secs(s.analyze_time), s.analyses));
     row("time: eval wall", secs(s.eval_wall_time));
     row("panics sandboxed", s.panicked.to_string());
     row("cost rejections", s.cost_rejections.to_string());

@@ -10,6 +10,17 @@
 //! Weakly connected components of the D-Graph are the "graph-level
 //! dimensions" (batch, heads, sequence, …) that a fission
 //! transformation can split along.
+//!
+//! # Dense layout
+//!
+//! Vertices are numbered per node slot in `(NodeId, dim)` order — a
+//! node's reduce axes `−r..−1`, then its output dims `1..rank` — so the
+//! vertex numbering *is* the sorted order of [`DimVertex`] keys, and a
+//! `⟨node, dim⟩` pair maps to its number by arithmetic on the node's
+//! first vertex. Adjacency is one flat, sorted, deduplicated
+//! neighbour array (CSR). The component sweep labels vertices in an
+//! array and buckets them by label, so every component comes out
+//! sorted and components come out ordered by their smallest vertex.
 
 use magis_graph::GraphView;
 use magis_graph::graph::{Graph, NodeId};
@@ -23,103 +34,199 @@ pub type DimVertex = (NodeId, i32);
 /// The Dimension Graph `D(G)`.
 #[derive(Debug, Clone, Default)]
 pub struct DimGraph {
-    /// Undirected adjacency (both directions stored).
-    adj: BTreeMap<DimVertex, BTreeSet<DimVertex>>,
+    /// `first[s]..first[s + 1]` are the vertex numbers of node slot `s`
+    /// (an empty range for slots outside the D-Graph).
+    first: Vec<u32>,
+    /// Vertex number → `⟨node, dim⟩`, ascending.
+    verts: Vec<DimVertex>,
+    /// Neighbours of vertex `x` are `adj[adj_start[x]..adj_start[x + 1]]`,
+    /// ascending and deduplicated (both directions stored).
+    adj_start: Vec<u32>,
+    adj: Vec<u32>,
+    /// Per node slot, the links of its inputs as `input_dim_links`
+    /// returns them (empty for graph inputs and nodes outside the
+    /// D-Graph); kept for validating fission candidates.
+    links: Vec<Vec<Vec<DimLink>>>,
 }
 
 impl DimGraph {
     /// Builds `D(G)`.
     pub fn build(g: &Graph) -> Self {
-        let mut adj: BTreeMap<DimVertex, BTreeSet<DimVertex>> = BTreeMap::new();
-        // Vertices.
-        for v in g.node_ids() {
-            let n = g.node(v);
-            if !n.op.in_dim_graph() {
-                continue;
-            }
-            for i in 1..=n.meta.shape.rank() as i32 {
-                adj.entry((v, i)).or_default();
-            }
-            for r in 1..=n.op.num_reduce_axes() as i32 {
-                adj.entry((v, -r)).or_default();
-            }
+        // Vertices, slot by slot: reduce axes first, then output dims.
+        let mut first = Vec::with_capacity(g.capacity() + 1);
+        let mut verts: Vec<DimVertex> = Vec::new();
+        for s in 0..g.capacity() {
+            first.push(verts.len() as u32);
+            let Some(n) = g.slot(s).filter(|n| n.op.in_dim_graph()) else { continue };
+            let v = NodeId::from_index(s);
+            let reduce = n.op.num_reduce_axes() as i32;
+            verts.extend((1..=reduce).rev().map(|r| (v, -r)));
+            verts.extend((1..=n.meta.shape.rank() as i32).map(|i| (v, i)));
         }
-        // Edges.
+        first.push(verts.len() as u32);
+        let mut dg = DimGraph {
+            first,
+            verts,
+            adj_start: Vec::new(),
+            adj: Vec::new(),
+            links: vec![Vec::new(); g.capacity()],
+        };
+        // Edges, as vertex-number pairs.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut metas = Vec::new();
         for v in g.node_ids() {
             let n = g.node(v);
             if !n.op.in_dim_graph() || n.op.is_input() {
                 continue;
             }
-            let input_metas: Vec<_> = n.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
-            let links = n.op.input_dim_links(&input_metas, &n.meta);
+            metas.clear();
+            metas.extend(n.inputs().iter().map(|&u| &g.node(u).meta));
+            let links = n.op.input_dim_links(&metas, &n.meta);
             for (slot, &u) in n.inputs().iter().enumerate() {
-                if !g.node(u).op.in_dim_graph() {
-                    continue;
-                }
                 for (i, link) in links[slot].iter().enumerate() {
-                    let uv = (u, i as i32 + 1);
-                    let vv = match link {
-                        DimLink::Spatial(j) => (v, *j as i32 + 1),
+                    let vd = match link {
+                        DimLink::Spatial(j) => *j as i32 + 1,
                         // Windowed links join the same spatial axis;
                         // halo costs are applied at fission time.
-                        DimLink::Windowed { dim, .. } => (v, *dim as i32 + 1),
-                        DimLink::Reduce(r) => (v, -(*r as i32 + 1)),
+                        DimLink::Windowed { dim, .. } => *dim as i32 + 1,
+                        DimLink::Reduce(r) => -(*r as i32 + 1),
                         DimLink::Unlinked => continue,
                     };
-                    if adj.contains_key(&uv) && adj.contains_key(&vv) {
-                        // Unwrap audit: both keys checked present on
-                        // the line above.
-                        adj.get_mut(&uv).expect("vertex").insert(vv);
-                        adj.get_mut(&vv).expect("vertex").insert(uv);
+                    // A producer outside the D-Graph has no vertices,
+                    // so its links are dropped here.
+                    if let (Some(a), Some(b)) = (dg.index((u, i as i32 + 1)), dg.index((v, vd))) {
+                        edges.push((a, b));
                     }
                 }
             }
+            dg.links[v.index()] = links;
         }
-        DimGraph { adj }
+        // CSR by counting, both directions; then each (short) list is
+        // sorted and deduplicated in place, compacting the array.
+        let nv = dg.verts.len();
+        let mut start = vec![0u32; nv + 1];
+        for &(a, b) in &edges {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
+        }
+        for x in 0..nv {
+            start[x + 1] += start[x];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0u32; start[nv] as usize];
+        for &(a, b) in &edges {
+            adj[fill[a as usize] as usize] = b;
+            fill[a as usize] += 1;
+            adj[fill[b as usize] as usize] = a;
+            fill[b as usize] += 1;
+        }
+        let mut kept = 0;
+        for x in 0..nv {
+            let (lo, hi) = (start[x] as usize, start[x + 1] as usize);
+            adj[lo..hi].sort_unstable();
+            start[x] = kept as u32;
+            for k in lo..hi {
+                if k == lo || adj[k] != adj[k - 1] {
+                    adj[kept] = adj[k];
+                    kept += 1;
+                }
+            }
+        }
+        start[nv] = kept as u32;
+        adj.truncate(kept);
+        dg.adj = adj;
+        dg.adj_start = start;
+        dg
+    }
+
+    /// Vertex number of `⟨node, dim⟩`, if that vertex exists.
+    fn index(&self, (v, d): DimVertex) -> Option<u32> {
+        let (lo, hi) = (*self.first.get(v.index())?, *self.first.get(v.index() + 1)?);
+        if lo == hi {
+            return None;
+        }
+        let reduce = self.verts[lo as usize].1.min(0).unsigned_abs();
+        let offset = match d {
+            0 => return None,
+            d if d < 0 => reduce.checked_sub(d.unsigned_abs())?,
+            d => reduce + d as u32 - 1,
+        };
+        (offset < hi - lo).then_some(lo + offset)
+    }
+
+    /// The links of `v`'s inputs (one list per input slot, one link per
+    /// input dim); empty for graph inputs and nodes outside the D-Graph.
+    pub(crate) fn input_links(&self, v: NodeId) -> &[Vec<DimLink>] {
+        self.links.get(v.index()).map_or(&[], Vec::as_slice)
+    }
+
+    fn neighbour_numbers(&self, x: u32) -> &[u32] {
+        let x = x as usize;
+        &self.adj[self.adj_start[x] as usize..self.adj_start[x + 1] as usize]
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.verts.len()
     }
 
     /// Whether the D-Graph is empty.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.verts.is_empty()
     }
 
-    /// Neighbours of a vertex.
+    /// Neighbours of a vertex, in ascending order.
     pub fn neighbours(&self, v: DimVertex) -> impl Iterator<Item = DimVertex> + '_ {
-        self.adj.get(&v).into_iter().flatten().copied()
+        let nbrs = self.index(v).map_or(&[][..], |x| self.neighbour_numbers(x));
+        nbrs.iter().map(|&y| self.verts[y as usize])
     }
 
-    /// All vertices.
+    /// All vertices, in ascending order.
     pub fn vertices(&self) -> impl Iterator<Item = DimVertex> + '_ {
-        self.adj.keys().copied()
+        self.verts.iter().copied()
     }
 
     /// Weakly connected components with more than one vertex (a lone
-    /// dimension connects nothing and cannot drive a fission).
+    /// dimension connects nothing and cannot drive a fission), ordered
+    /// by their smallest vertex.
     pub fn components(&self) -> Vec<BTreeSet<DimVertex>> {
-        let mut remaining: BTreeSet<DimVertex> = self.adj.keys().copied().collect();
-        let mut out = Vec::new();
-        while let Some(&seed) = remaining.iter().next() {
-            remaining.remove(&seed);
-            let mut comp = BTreeSet::new();
-            let mut stack = vec![seed];
-            while let Some(v) = stack.pop() {
-                comp.insert(v);
-                for n in self.neighbours(v) {
-                    if remaining.remove(&n) {
-                        stack.push(n);
+        self.sorted_components().into_iter().map(|c| c.into_iter().collect()).collect()
+    }
+
+    /// [`components`](Self::components) as ascending vertex lists.
+    pub(crate) fn sorted_components(&self) -> Vec<Vec<DimVertex>> {
+        // Label sweep: components are numbered in order of their
+        // smallest vertex, like a scan of the sorted vertex set.
+        const UNSEEN: u32 = u32::MAX;
+        let mut label = vec![UNSEEN; self.verts.len()];
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut stack: Vec<u32> = Vec::new();
+        for seed in 0..self.verts.len() as u32 {
+            if label[seed as usize] != UNSEEN {
+                continue;
+            }
+            let c = sizes.len() as u32;
+            sizes.push(0);
+            label[seed as usize] = c;
+            stack.push(seed);
+            while let Some(x) = stack.pop() {
+                sizes[c as usize] += 1;
+                for &y in self.neighbour_numbers(x) {
+                    if label[y as usize] == UNSEEN {
+                        label[y as usize] = c;
+                        stack.push(y);
                     }
                 }
             }
-            if comp.len() > 1 {
-                out.push(comp);
-            }
         }
-        out
+        // Bucket vertices by label in vertex order: each list comes
+        // out ascending.
+        let mut comps: Vec<Vec<DimVertex>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (x, &c) in label.iter().enumerate() {
+            comps[c as usize].push(self.verts[x]);
+        }
+        comps.retain(|c| c.len() > 1);
+        comps
     }
 }
 

@@ -20,6 +20,7 @@
 //!   paper avoids; used here to cross-validate the overlay and in
 //!   examples).
 
+use crate::dgraph::DimGraph;
 use magis_graph::algo::topo::topo_order_of;
 use magis_graph::algo::{is_convex, is_weakly_connected};
 use magis_graph::graph::{Graph, NodeId};
@@ -119,10 +120,18 @@ impl FissionSpec {
     ///
     /// Returns the first violated F-Trans constraint.
     pub fn validate<G: GraphView>(&self, g: &G) -> Result<(), FissionError> {
-        if self.set.is_empty()
-            || self.dims.len() != self.set.len()
-            || !self.dims.keys().all(|v| self.set.contains(v))
-        {
+        self.validate_with(g, None)
+    }
+
+    /// [`validate`](Self::validate), reading input links from `dg` (the
+    /// D-Graph of `g`, which must give every node of `set` a vertex)
+    /// when given instead of recomputing them.
+    pub(crate) fn validate_with<G: GraphView>(
+        &self,
+        g: &G,
+        dg: Option<&DimGraph>,
+    ) -> Result<(), FissionError> {
+        if self.set.is_empty() || !self.dims.keys().eq(self.set.iter()) {
             return Err(FissionError::BadCoverage);
         }
         for &v in &self.set {
@@ -142,6 +151,12 @@ impl FissionSpec {
         if !is_convex(g, &self.set) {
             return Err(FissionError::NotConvex);
         }
+        // Dense dims: `Some` exactly on `set`, since `dims` has the same keys.
+        let mut dim_of: Vec<Option<i32>> = vec![None; g.capacity()];
+        for (&v, &d) in &self.dims {
+            dim_of[v.index()] = Some(d);
+        }
+        let in_set = |u: NodeId| dim_of[u.index()].is_some();
         for (&v, &d) in &self.dims {
             let n = g.node(v);
             if d > 0 {
@@ -160,34 +175,30 @@ impl FissionSpec {
                 if r >= n.op.num_reduce_axes() {
                     return Err(FissionError::UnsplittableDim(v, d));
                 }
-                if g.suc(v).iter().any(|s| self.set.contains(s)) {
+                if g.node(v).succs().iter().any(|&s| in_set(s)) {
                     return Err(FissionError::InteriorReduce(v));
                 }
             }
         }
         // Constraint 3: every internal edge must be covered by a D-edge
-        // between the chosen dims.
-        for &v in &self.set {
-            let node = g.node(v);
-            if node.op.is_input() {
-                continue;
+        // between the chosen dims. `dims` and `set` iterate in step.
+        let owned;
+        let links: Vec<&[Vec<DimLink>]> = match dg {
+            Some(dg) => self.set.iter().map(|&v| dg.input_links(v)).collect(),
+            None => {
+                owned = self.region_links(g);
+                owned.iter().map(Vec::as_slice).collect()
             }
-            let metas: Vec<_> =
-                node.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
-            let links = node.op.input_dim_links(&metas, &node.meta);
-            for (slot, &u) in node.inputs().iter().enumerate() {
-                if !self.set.contains(&u) {
-                    continue;
-                }
-                let du = self.dims[&u];
+        };
+        for ((&v, &dv), links) in self.dims.iter().zip(&links) {
+            for (slot, &u) in g.node(v).inputs().iter().enumerate() {
+                let Some(du) = dim_of[u.index()] else { continue };
                 if du < 0 {
                     return Err(FissionError::InteriorReduce(u));
                 }
                 let covered = match links[slot].get((du - 1) as usize) {
-                    Some(l) => match self.dims[&v] {
-                        d if d > 0 => l.spatial_dim() == Some((d - 1) as usize),
-                        d => *l == DimLink::Reduce((-d - 1) as usize),
-                    },
+                    Some(l) if dv > 0 => l.spatial_dim() == Some((dv - 1) as usize),
+                    Some(l) => *l == DimLink::Reduce((-dv - 1) as usize),
                     None => false,
                 };
                 if !covered {
@@ -196,8 +207,26 @@ impl FissionSpec {
             }
         }
         // Input slice axes must be unambiguous.
-        self.input_slice_axes(g)?;
+        self.slice_axes_with(g, &links, in_set)?;
         Ok(())
+    }
+
+    /// The D-Graph links of every region node's inputs, in `set`
+    /// order (empty for graph inputs, which read nothing).
+    fn region_links<G: GraphView>(&self, g: &G) -> Vec<Vec<Vec<DimLink>>> {
+        let mut metas = Vec::new();
+        self.set
+            .iter()
+            .map(|&v| {
+                let node = g.node(v);
+                if node.op.is_input() {
+                    return Vec::new();
+                }
+                metas.clear();
+                metas.extend(node.inputs().iter().map(|&u| &g.node(u).meta));
+                node.op.input_dim_links(&metas, &node.meta)
+            })
+            .collect()
     }
 
     /// For each region input: the axis it must be sliced along, or
@@ -211,21 +240,31 @@ impl FissionSpec {
         &self,
         g: &G,
     ) -> Result<BTreeMap<NodeId, Option<usize>>, FissionError> {
+        let links = self.region_links(g);
+        let links: Vec<&[Vec<DimLink>]> = links.iter().map(Vec::as_slice).collect();
+        self.slice_axes_with(g, &links, |u| self.set.contains(&u))
+    }
+
+    /// [`input_slice_axes`](Self::input_slice_axes) over precomputed
+    /// [`region_links`](Self::region_links) and a membership test for `set`.
+    fn slice_axes_with<G: GraphView>(
+        &self,
+        g: &G,
+        links: &[&[Vec<DimLink>]],
+        in_set: impl Fn(NodeId) -> bool,
+    ) -> Result<BTreeMap<NodeId, Option<usize>>, FissionError> {
         let mut out: BTreeMap<NodeId, Option<usize>> = BTreeMap::new();
-        for &v in &self.set {
+        for (&v, links) in self.set.iter().zip(links) {
             let node = g.node(v);
             if node.op.is_input() {
                 continue;
             }
-            let metas: Vec<_> =
-                node.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
-            let links = node.op.input_dim_links(&metas, &node.meta);
             let matches_selected = |l: &DimLink| match self.dims[&v] {
                 d if d > 0 => l.spatial_dim() == Some((d - 1) as usize),
                 d => *l == DimLink::Reduce((-d - 1) as usize),
             };
             for (slot, &u) in node.inputs().iter().enumerate() {
-                if self.set.contains(&u) {
+                if in_set(u) {
                     continue;
                 }
                 // Weights/labels are never sliced (no D-Graph vertices).
@@ -268,7 +307,7 @@ impl FissionSpec {
                 continue;
             }
             let metas: Vec<_> =
-                node.inputs().iter().map(|&u| g.node(u).meta.clone()).collect();
+                node.inputs().iter().map(|&u| &g.node(u).meta).collect();
             let links = node.op.input_dim_links(&metas, &node.meta);
             let halo = links
                 .iter()

@@ -8,6 +8,17 @@
 //! the total size of memory hot-spots they dominate — minus the size of
 //! the inputs that must stay resident, stratified into `L` score
 //! intervals so the tree offers both coarse and fine fission choices.
+//!
+//! Construction runs on every stale M-State, so it works on dense,
+//! node-indexed tables: each dominated region is a preorder interval
+//! of the dominator tree, heat is a prefix-sum difference over that
+//! preorder, region inputs come from epoch-stamped marks, and tree
+//! sets are built only for the regions that become candidates. The
+//! result is bit-identical to the set-based construction it replaced
+//! (`tests/ftree_differential.rs` keeps that construction as its
+//! reference): same node sets, dims, levels and parent/children order,
+//! and heat/input sums equal to the ascending-id f64 folds (see
+//! `fold_sizes`).
 
 use magis_graph::GraphView;
 use crate::dgraph::{component_dims, DimGraph};
@@ -44,49 +55,96 @@ pub struct FTree {
 
 /// Restricts a component to the nodes reachable from its "dominant"
 /// entry — the entry node with the largest reachable set within the
-/// component. Returns `None` when the component has no entry (cannot
-/// happen for DAG-induced sets, defensively handled).
-fn dominant_entry_region(
-    g: &Graph,
-    comp: &BTreeSet<NodeId>,
-) -> Option<BTreeSet<NodeId>> {
-    // Dense membership marks; raw neighbour slices (duplicates are
-    // harmless for both the entry test and the reach DFS).
-    let mut in_comp = vec![false; g.capacity()];
+/// component. `comp` is ascending and so is the result. Returns `None`
+/// when the component has no entry (cannot happen for DAG-induced
+/// sets, defensively handled).
+fn dominant_entry_region(g: &Graph, comp: &[NodeId], marks: &mut Marks) -> Option<Vec<NodeId>> {
+    // Dense membership; `marks` is re-stamped per reach walk. Raw
+    // neighbour slices: duplicates are harmless for both the entry
+    // test and the reach DFS.
+    let mut member = vec![false; g.capacity()];
     for &v in comp {
-        in_comp[v.index()] = true;
+        member[v.index()] = true;
     }
-    let entries: Vec<NodeId> = comp
-        .iter()
-        .copied()
-        .filter(|&v| {
-            let n = g.node(v);
-            n.inputs().iter().chain(n.keepalive()).all(|p| !in_comp[p.index()])
-        })
-        .collect();
-    let mut seen = vec![false; g.capacity()];
-    let mut best: Option<BTreeSet<NodeId>> = None;
-    for e in entries {
-        seen.fill(false);
-        let mut out: BTreeSet<NodeId> = BTreeSet::new();
-        let mut stack = vec![e];
-        seen[e.index()] = true;
+    let mut stack = Vec::new();
+    let mut reach = |e: NodeId, marks: &mut Marks| -> (u32, usize) {
+        let seen = marks.next();
+        marks.set(e, seen);
+        stack.push(e);
+        let mut count = 0;
         while let Some(v) = stack.pop() {
-            out.insert(v);
+            count += 1;
             for &s in g.node(v).succs() {
-                if in_comp[s.index()] && !seen[s.index()] {
-                    seen[s.index()] = true;
+                if member[s.index()] && !marks.is(s, seen) {
+                    marks.set(s, seen);
                     stack.push(s);
                 }
             }
         }
+        (seen, count)
+    };
+    let mut best: Option<(NodeId, usize)> = None;
+    for &e in comp {
+        let n = g.node(e);
+        if n.inputs().iter().chain(n.keepalive()).any(|p| member[p.index()]) {
+            continue; // not an entry
+        }
+        let (_, count) = reach(e, marks);
         // `max_by_key` keeps the *last* maximum among ties; entries are
-        // visited in the same (sorted) order, so `>=` replicates it.
-        if best.as_ref().is_none_or(|b| out.len() >= b.len()) {
-            best = Some(out);
+        // visited in ascending order, so `>=` replicates it.
+        if best.is_none_or(|(_, b)| count >= b) {
+            best = Some((e, count));
         }
     }
-    best
+    let (e, _) = best?;
+    let (seen, _) = reach(e, marks);
+    Some(comp.iter().copied().filter(|&v| marks.is(v, seen)).collect())
+}
+
+/// Epoch-stamped node marks: `next()` opens a fresh stamp, so one
+/// capacity-sized table serves every membership test of a build
+/// without clearing.
+struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    fn new(capacity: usize) -> Self {
+        Marks { stamp: vec![0; capacity], epoch: 0 }
+    }
+
+    fn next(&mut self) -> u32 {
+        self.epoch += 1;
+        self.epoch
+    }
+
+    fn set(&mut self, v: NodeId, epoch: u32) {
+        self.stamp[v.index()] = epoch;
+    }
+
+    fn is(&self, v: NodeId, epoch: u32) -> bool {
+        self.stamp[v.index()] == epoch
+    }
+}
+
+/// Byte sizes of `ids` summed exactly as an f64 fold in ascending id
+/// order would sum them. `total` is their exact integer sum (a `u128`
+/// cannot overflow: it adds at most 2^32 terms below 2^64). Sizes are
+/// integers, so when `total <= 2^53` every term and every partial sum
+/// of that fold is an exactly representable f64 and the fold equals
+/// `total as f64` whatever the order; above 2^53 bytes (8 PiB) f64
+/// rounding makes the fold order-dependent, so it is replayed. The
+/// one difference is the sign of a zero sum (an empty fold gives
+/// `-0.0`), which no score comparison can see: a score `<= 0` is below
+/// every level's positive lower bound.
+fn fold_sizes(g: &Graph, total: u128, ids: impl FnOnce() -> Vec<NodeId>) -> f64 {
+    if total <= 1 << f64::MANTISSA_DIGITS {
+        return total as f64;
+    }
+    let mut ids = ids();
+    ids.sort_unstable();
+    ids.iter().map(|&v| g.node(v).size_bytes() as f64).sum()
 }
 
 /// A mutation of one F-Tree node (§5.1).
@@ -105,24 +163,55 @@ pub enum FTreeMutation {
     Mutate(usize),
 }
 
+impl FTreeMutation {
+    /// The tree node the mutation acts on.
+    fn node(self) -> usize {
+        match self {
+            FTreeMutation::Enable(i)
+            | FTreeMutation::Lift(i)
+            | FTreeMutation::Disable(i)
+            | FTreeMutation::Mutate(i) => i,
+        }
+    }
+}
+
 impl FTree {
     /// Builds the F-Tree for `g` with hot-spots `h` and max-level `l`
     /// (Algorithm 1).
+    ///
+    /// Works on dense tables: the D-Graph's sorted components give a
+    /// per-component node → dim table, the dominator tree gives every
+    /// region as a preorder interval, heat comes from prefix sums over
+    /// that preorder and region inputs from epoch marks. Tree sets and
+    /// maps are built only for the regions that become candidates.
     pub fn build(g: &Graph, hotspots: &BTreeSet<NodeId>, l: usize) -> Self {
+        // The per-component node → dim table: a dim, or `AMBIGUOUS`
+        // when the node has several vertices in the component.
+        const AMBIGUOUS: i32 = 0;
         let dg = DimGraph::build(g);
+        let size = |v: NodeId| g.node(v).size_bytes() as u128;
         let mut candidates: Vec<(BTreeSet<NodeId>, BTreeMap<NodeId, i32>, usize)> = Vec::new();
-        // Dense hot-spot marks and epoch-stamped scratch tables shared
-        // across components (score loop below).
         let mut hot = vec![false; g.capacity()];
         for &h in hotspots {
             hot[h.index()] = true;
         }
-        let mut in_region = vec![0u32; g.capacity()];
-        let mut pred_mark = vec![0u32; g.capacity()];
-        let mut epoch = 0u32;
-        for comp in dg.components() {
+        let mut dim_of = vec![AMBIGUOUS; g.capacity()];
+        let mut marks = Marks::new(g.capacity());
+        let mut preds: Vec<NodeId> = Vec::new();
+        for comp in dg.sorted_components() {
             // G' := sub-graph of G induced from the component's nodes.
-            let comp_nodes: BTreeSet<NodeId> = comp.iter().map(|&(v, _)| v).collect();
+            // The component is sorted, so a node's vertices are
+            // adjacent; every entry of `dim_of` read below belongs to
+            // this component's nodes and is written here first.
+            let mut comp_nodes: Vec<NodeId> = Vec::new();
+            for &(v, d) in &comp {
+                if comp_nodes.last() == Some(&v) {
+                    dim_of[v.index()] = AMBIGUOUS;
+                } else {
+                    comp_nodes.push(v);
+                    dim_of[v.index()] = d;
+                }
+            }
             if comp_nodes.len() < 2 {
                 continue;
             }
@@ -132,93 +221,89 @@ impl FTree {
             // input, in training graphs) and ignore secondary entries
             // (labels, mid-graph joins), which would otherwise pull
             // every post-loss node up to the virtual root.
-            let comp_nodes = match dominant_entry_region(g, &comp_nodes) {
-                Some(r) => r,
-                None => comp_nodes,
-            };
+            let comp_nodes = dominant_entry_region(g, &comp_nodes, &mut marks).unwrap_or(comp_nodes);
             if comp_nodes.len() < 2 {
                 continue;
             }
             let t = DomTree::compute(g, &comp_nodes);
-            // Scores per Eq. (3)/(4) with n = 2. Descendant sets are
-            // computed once per node here and reused by the
-            // stratification loop below (each walk allocates a fresh
-            // set, so repeating it per interval is pure waste).
-            // The region-input sum replicates `g.set_inputs(&region)`
-            // exactly — unique out-of-region preds, summed in ascending
-            // id order (f64 addition order matters for bit-identity) —
-            // using epoch-stamped dense marks instead of tree sets.
-            let sizes = |v: NodeId| g.node(v).size_bytes() as f64;
-            let mut scores: BTreeMap<NodeId, f64> = BTreeMap::new();
-            let mut desc: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-            for v in t.nodes() {
-                let region = t.descendants(v);
-                let region = desc.entry(v).or_insert(region);
-                if region.is_empty() {
+            let order = t.preorder();
+            // Scores per Eq. (3)/(4) with n = 2 over each node's strict
+            // descendants, `order[k + 1..end]` for the node at preorder
+            // index `k`. Heat is a prefix-sum difference; region inputs
+            // are the unique preds outside the interval, found with
+            // epoch marks. `None` marks a leaf (empty region, no score).
+            let mut hot_prefix = vec![0u128; order.len() + 1];
+            for (k, &w) in order.iter().enumerate() {
+                hot_prefix[k + 1] = hot_prefix[k] + if hot[w.index()] { size(w) } else { 0 };
+            }
+            let mut scores: Vec<Option<f64>> = vec![None; order.len()];
+            for (k, &v) in order.iter().enumerate() {
+                let region = t.interval(v);
+                let inner = k + 1..region.end;
+                if inner.is_empty() {
                     continue;
                 }
-                epoch += 1;
-                for &w in region.iter() {
-                    in_region[w.index()] = epoch;
-                }
-                let heat: f64 = region
-                    .iter()
-                    .filter(|w| hot[w.index()])
-                    .map(|&w| sizes(w))
-                    .sum();
-                let mut preds: Vec<NodeId> = Vec::new();
-                for &w in region.iter() {
+                let heat = fold_sizes(g, hot_prefix[region.end] - hot_prefix[k + 1], || {
+                    order[inner.clone()].iter().copied().filter(|w| hot[w.index()]).collect()
+                });
+                let outside = |p: NodeId| t.preorder_index(p).is_none_or(|i| !inner.contains(&i));
+                let seen = marks.next();
+                preds.clear();
+                let mut inputs = 0u128;
+                for &w in &order[inner.clone()] {
                     let nd = g.node(w);
                     for &p in nd.inputs().iter().chain(nd.keepalive()) {
-                        if in_region[p.index()] != epoch && pred_mark[p.index()] != epoch {
-                            pred_mark[p.index()] = epoch;
-                            preds.push(p);
+                        if !marks.is(p, seen) && outside(p) {
+                            marks.set(p, seen);
+                            if !hot[p.index()] {
+                                preds.push(p);
+                                inputs += size(p);
+                            }
                         }
                     }
                 }
-                preds.sort_unstable();
-                let inputs: f64 = preds
-                    .iter()
-                    .filter(|u| !hot[u.index()])
-                    .map(|&u| sizes(u))
-                    .sum();
-                scores.insert(v, 0.5 * heat - inputs);
+                let inputs = fold_sizes(g, inputs, || std::mem::take(&mut preds));
+                scores[k] = Some(0.5 * heat - inputs);
             }
-            let smax = scores.values().copied().fold(f64::MIN, f64::max);
+            let smax = scores.iter().flatten().copied().fold(f64::MIN, f64::max);
             if smax <= 0.0 {
                 continue;
             }
             // Stratify into L intervals; in each interval keep the
             // dominator-tree-deepest nodes (no descendant in the same
-            // interval).
+            // interval), visited in ascending id order. A prefix count
+            // of the interval's members over the preorder answers "any
+            // descendant in the interval" per node.
+            let mut members = vec![0u32; order.len() + 1];
             for i in 1..=l {
                 let lo = i as f64 / l as f64;
                 let hi = (i + 1) as f64 / l as f64;
-                let v_i: BTreeSet<NodeId> = scores
-                    .iter()
-                    .filter(|(_, &s)| {
+                let in_level = |k: usize| {
+                    scores[k].is_some_and(|s| {
                         let ns = s / smax;
                         ns >= lo && (ns < hi || (i == l && ns <= 1.0))
                     })
-                    .map(|(&v, _)| v)
-                    .collect();
-                for &vdom in &v_i {
-                    let region = &desc[&vdom];
-                    if region.iter().any(|d| v_i.contains(d)) {
+                };
+                for k in 0..order.len() {
+                    members[k + 1] = members[k] + u32::from(in_level(k));
+                }
+                for &vdom in &comp_nodes {
+                    let region = t.interval(vdom);
+                    let k = region.start;
+                    if !in_level(k) || members[region.end] > members[k + 1] {
                         continue;
                     }
-                    if region.is_empty() {
+                    let inner = &order[k + 1..region.end];
+                    if inner.iter().any(|w| dim_of[w.index()] == AMBIGUOUS) {
                         continue;
                     }
-                    let s = region.clone();
-                    let Some(dims) = component_dims(&comp, &s) else { continue };
-                    let spec = FissionSpec { set: s.clone(), dims, parts: 1 };
+                    let s: BTreeSet<NodeId> = inner.iter().copied().collect();
+                    let dims: BTreeMap<NodeId, i32> = s.iter().map(|&w| (w, dim_of[w.index()])).collect();
                     // "if f is valid": structural validation with the
                     // minimum useful part count.
-                    let mut probe = spec.clone();
-                    probe.parts = 2;
-                    if probe.validate(g).is_ok() {
-                        candidates.push((s, spec.dims, i));
+                    let probe = FissionSpec { set: s, dims, parts: 2 };
+                    if probe.validate_with(g, Some(&dg)).is_ok() {
+                        candidates.push((probe.set, probe.dims, i));
                     }
                 }
             }
@@ -368,37 +453,42 @@ impl FTree {
         true
     }
 
-    /// Legal mutations of the current tree (the rule generator of §5.1).
+    /// Legal mutations of the current tree (the rule generator of §5.1),
+    /// per node in index order: `Lift`, `Disable`, `Mutate` for an
+    /// enabled node, `Enable` for a disabled one.
     pub fn legal_mutations(&self, g: &Graph) -> Vec<FTreeMutation> {
+        use FTreeMutation::{Disable, Enable, Lift, Mutate};
         let mut out = Vec::new();
-        for i in 0..self.nodes.len() {
-            let n = &self.nodes[i];
-            if n.enabled() {
-                if !self.has_enabled_ancestor(i) {
-                    if let Some(p) = n.parent {
-                        if !self.nodes[p].enabled() {
-                            out.push(FTreeMutation::Lift(i));
-                        }
-                    }
-                }
-                if !self.has_enabled_descendant(i) {
-                    out.push(FTreeMutation::Disable(i));
-                }
-                if self.next_parts(g, i).is_some() {
-                    out.push(FTreeMutation::Mutate(i));
-                }
-            } else {
-                let leaf = n.children.is_empty();
-                let parent_of_enabled_chain = n.children.iter().any(|&c| self.nodes[c].enabled())
-                    && !self.has_enabled_ancestor(i);
-                if (leaf && !self.has_enabled_ancestor(i) || parent_of_enabled_chain)
-                    && self.mutated(g, i, 2).validate(g).is_ok()
-                {
-                    out.push(FTreeMutation::Enable(i));
-                }
-            }
+        for (i, n) in self.nodes.iter().enumerate() {
+            let kinds: &[fn(usize) -> FTreeMutation] =
+                if n.enabled() { &[Lift, Disable, Mutate] } else { &[Enable] };
+            out.extend(kinds.iter().map(|kind| kind(i)).filter(|&m| self.is_legal(g, m)));
         }
         out
+    }
+
+    /// Whether `m` is currently legal: one node's test of
+    /// [`legal_mutations`](Self::legal_mutations).
+    fn is_legal(&self, g: &Graph, m: FTreeMutation) -> bool {
+        let i = m.node();
+        let Some(n) = self.nodes.get(i) else { return false };
+        match m {
+            FTreeMutation::Lift(_) => {
+                n.enabled()
+                    && !self.has_enabled_ancestor(i)
+                    && n.parent.is_some_and(|p| !self.nodes[p].enabled())
+            }
+            FTreeMutation::Disable(_) => n.enabled() && !self.has_enabled_descendant(i),
+            FTreeMutation::Mutate(_) => n.enabled() && self.next_parts(g, i).is_some(),
+            FTreeMutation::Enable(_) => {
+                let leaf = n.children.is_empty();
+                let parent_of_enabled_chain = n.children.iter().any(|&c| self.nodes[c].enabled());
+                !n.enabled()
+                    && (leaf || parent_of_enabled_chain)
+                    && !self.has_enabled_ancestor(i)
+                    && self.mutated(g, i, 2).validate(g).is_ok()
+            }
+        }
     }
 
     /// The smallest valid part count greater than the node's current
@@ -469,7 +559,7 @@ impl FTree {
     ///
     /// Returns `Err` if the mutation is not currently legal.
     pub fn apply(&self, g: &Graph, m: FTreeMutation) -> Result<(FTree, BTreeSet<NodeId>), String> {
-        if !self.legal_mutations(g).contains(&m) {
+        if !self.is_legal(g, m) {
             return Err(format!("illegal F-Tree mutation {m:?}"));
         }
         let mut t = self.clone();
@@ -479,10 +569,9 @@ impl FTree {
                 t.nodes[i].spec.set.clone()
             }
             FTreeMutation::Lift(i) => {
-                // Unwrap audit: `legal_mutations` only emits Lift for
-                // nodes with a parent, and Mutate for nodes whose
-                // split dimension has a next divisor; `apply` is only
-                // called with mutations from that set.
+                // Unwrap audit: `is_legal` (checked above) holds Lift
+                // only for nodes with a parent, and Mutate only for
+                // nodes whose split dimension has a next divisor.
                 let p = t.nodes[i].parent.expect("lift requires a parent");
                 t.nodes[i].spec.parts = 1;
                 t.nodes[p].spec.parts = 2;
@@ -625,6 +714,70 @@ mod tests {
         let straddle: BTreeSet<NodeId> =
             [*region.iter().next().unwrap(), outside_node].into_iter().collect();
         assert!(!t2.allows_transform(&straddle));
+    }
+
+    /// `apply` accepts exactly the mutations `legal_mutations` lists,
+    /// for every index (one past the end included) and every kind, on
+    /// trees with none, one and two regions enabled.
+    #[test]
+    fn apply_accepts_exactly_the_legal_mutations() {
+        use crate::state::{EvalContext, MState};
+        use magis_models::Workload;
+        for w in [Workload::BertBase, Workload::UNet] {
+            let mut s = MState::initial(w.build(0.05).graph, &EvalContext::default());
+            s.analyze(4);
+            let (g, mut t) = (s.base, s.ftree);
+            let mut enabled = 0;
+            for round in 0..3 {
+                let legal = t.legal_mutations(&g);
+                for i in 0..=t.len() {
+                    for m in [
+                        FTreeMutation::Enable(i),
+                        FTreeMutation::Lift(i),
+                        FTreeMutation::Disable(i),
+                        FTreeMutation::Mutate(i),
+                    ] {
+                        assert_eq!(
+                            t.apply(&g, m).is_ok(),
+                            legal.contains(&m),
+                            "{} round {round}: {m:?}",
+                            w.label()
+                        );
+                    }
+                }
+                // Enable the last legal candidate (a leaf far from the
+                // previous one) for the next round.
+                let Some(&m) = legal.iter().rev().find(|m| matches!(m, FTreeMutation::Enable(_))) else {
+                    break;
+                };
+                t = t.apply(&g, m).unwrap().0;
+                enabled += 1;
+            }
+            assert!(enabled >= 2, "{}: the test must see enabled regions", w.label());
+        }
+    }
+
+    /// Below 2^53 bytes the exact integer total is the fold; above it
+    /// the ascending-id fold is replayed, rounding included: 2^53 + 1
+    /// rounds back to 2^53 twice, where the integer total is 2^53 + 2.
+    #[test]
+    fn fold_sizes_equals_the_ascending_f64_fold() {
+        let mut b = GraphBuilder::new(DType::Bool);
+        let big = b.input([1 << 53], "big"); // 2^53 bytes
+        let mut ids = vec![big];
+        for i in 0..2 {
+            ids.push(b.input([1], &format!("s{i}"))); // 1 byte each
+        }
+        let g = b.finish();
+        let fold = |ids: &[NodeId]| ids.iter().map(|&v| g.node(v).size_bytes() as f64).sum::<f64>();
+        let total = |ids: &[NodeId]| ids.iter().map(|&v| g.node(v).size_bytes() as u128).sum::<u128>();
+        // Small terms only: exact.
+        let smalls = &ids[1..];
+        assert_eq!(fold_sizes(&g, total(smalls), || smalls.to_vec()).to_bits(), fold(smalls).to_bits());
+        // Past 2^53 the fold rounds; the replay reproduces it bit for bit.
+        let replayed = fold_sizes(&g, total(&ids), || ids.iter().rev().copied().collect());
+        assert_eq!(replayed.to_bits(), fold(&ids).to_bits());
+        assert_ne!(replayed, total(&ids) as f64, "this sum must round in f64");
     }
 
     #[test]

@@ -642,6 +642,13 @@ pub struct OptimizerStats {
     /// Time spent hashing/filtering duplicate graphs. CPU time summed
     /// over workers.
     pub hash_time: Duration,
+    /// Time spent re-running the M-Analyzer (F-Tree construction,
+    /// Algorithm 1) on stale states, the seed's analysis included.
+    /// Not persisted in checkpoint files.
+    pub analyze_time: Duration,
+    /// F-Tree analyses run, the seed's included. Not persisted in
+    /// checkpoint files.
+    pub analyses: usize,
     /// Wall-clock time spent inside candidate-evaluation fan-outs
     /// (compare against `trans_time + sched_sim_time + hash_time` to
     /// see the parallel speed-up).
@@ -1064,8 +1071,8 @@ pub fn optimize(g: Graph, cfg: &OptimizerConfig) -> OptimizeResult {
 /// [`EvalError`] instead of a panic.
 pub fn try_optimize(g: Graph, cfg: &OptimizerConfig) -> Result<OptimizeResult, EvalError> {
     let mut init = MState::try_initial(g, &cfg.ctx)?;
-    analyze(&mut init, cfg);
-    let seed = SearchSeed::fresh(init.cost(), cfg.driver);
+    let mut seed = SearchSeed::fresh(init.cost(), cfg.driver);
+    analyze(&mut init, cfg, &mut seed.stats);
     Ok(run_search(init, seed, cfg))
 }
 
@@ -1246,7 +1253,7 @@ impl<'a> Engine<'a> {
         }
         self.exp_t0 = Instant::now();
         if state.tree_stale {
-            analyze(state, self.cfg);
+            analyze(state, self.cfg, &mut self.stats);
         }
 
         let t0 = Instant::now();
@@ -1891,13 +1898,16 @@ fn run_search(init: MState, seed: SearchSeed, cfg: &OptimizerConfig) -> Optimize
     }
 }
 
-fn analyze(state: &mut MState, cfg: &OptimizerConfig) {
+fn analyze(state: &mut MState, cfg: &OptimizerConfig, stats: &mut OptimizerStats) {
+    let t0 = Instant::now();
     if cfg.naive_fission {
         state.ftree = crate::ftree::FTree::build_naive(&state.base, 12, cfg.seed);
         state.tree_stale = false;
     } else {
         state.analyze(cfg.max_level);
     }
+    stats.analyze_time += t0.elapsed();
+    stats.analyses += 1;
 }
 
 /// Convenience: optimize for minimum memory with a relative latency

@@ -45,10 +45,26 @@ pub fn weakly_connected_components<G: GraphView>(
 /// Whether the sub-graph induced by `set` is weakly connected
 /// (constraint (1) of F-Trans validity, §4.2).
 pub fn is_weakly_connected<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> bool {
-    if set.is_empty() {
-        return false;
+    // One flood fill from the smallest node must reach all of `set`.
+    let Some(&seed) = set.iter().next() else { return false };
+    let mut unreached = vec![false; g.capacity()];
+    for &v in set {
+        unreached[v.index()] = true;
     }
-    weakly_connected_components(g, set).len() == 1
+    unreached[seed.index()] = false;
+    let mut stack = vec![seed];
+    let mut reached = 0;
+    while let Some(v) = stack.pop() {
+        reached += 1;
+        let n = g.node(v);
+        for &u in n.inputs().iter().chain(n.keepalive()).chain(n.succs()) {
+            if unreached[u.index()] {
+                unreached[u.index()] = false;
+                stack.push(u);
+            }
+        }
+    }
+    reached == set.len()
 }
 
 #[cfg(test)]

@@ -14,19 +14,25 @@ use std::collections::BTreeSet;
 /// re-enters `set`, some outside node sits on a path between two members
 /// and the set is not convex.
 pub fn is_convex<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> bool {
+    // Dense membership; raw successor slices (a repeated successor is
+    // skipped by `seen`).
+    let mut member = BitSet::new(g.capacity());
+    for &v in set {
+        member.insert(v.index());
+    }
     let mut seen = BitSet::new(g.capacity());
     let mut stack: Vec<NodeId> = Vec::new();
     for &v in set {
-        for s in g.suc(v) {
-            if !set.contains(&s) && !seen.contains(s.index()) {
+        for &s in g.node(v).succs() {
+            if !member.contains(s.index()) && !seen.contains(s.index()) {
                 seen.insert(s.index());
                 stack.push(s);
             }
         }
     }
     while let Some(v) = stack.pop() {
-        for s in g.suc(v) {
-            if set.contains(&s) {
+        for &s in g.node(v).succs() {
+            if member.contains(s.index()) {
                 return false;
             }
             if !seen.contains(s.index()) {

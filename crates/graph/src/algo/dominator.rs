@@ -3,23 +3,46 @@
 //! A virtual root is added above all entry nodes of the requested node
 //! set, so multi-input DNN graphs (input tensor, labels, many weights)
 //! are handled uniformly. Implemented with the Cooper–Harvey–Kennedy
-//! iterative algorithm over a reverse-postorder (any topological order
-//! of a DAG).
+//! algorithm over a reverse-postorder (any topological order of a
+//! DAG), where a single pass reaches the fixpoint.
+//!
+//! The tree is stored in dense arrays over RPO positions: immediate
+//! dominators, children lists (CSR, in RPO order) and a preorder
+//! numbering with subtree ends. A node's dominated region is then one
+//! contiguous preorder interval ([`DomTree::interval`],
+//! [`DomTree::subtree`]), so region membership is two comparisons and
+//! region sums are prefix-sum differences.
 
 use super::topo::topo_order_of;
 use crate::graph::NodeId;
 use crate::view::GraphView;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::ops::Range;
+
+/// "Outside the tree" in the slot → position table, and "the virtual
+/// root" in the idom table.
+const NONE: u32 = u32::MAX;
 
 /// The dominator tree `T(G')` of an induced sub-graph.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each node; `None` means the virtual root.
-    idom: BTreeMap<NodeId, Option<NodeId>>,
-    /// Children lists of the tree (inverse of `idom`).
-    children: BTreeMap<NodeId, Vec<NodeId>>,
-    /// Nodes directly below the virtual root.
+    /// RPO position of each node slot (`NONE` outside the tree).
+    pos: Vec<u32>,
+    /// Immediate dominator of each RPO position (`NONE`: the virtual root).
+    idom: Vec<u32>,
+    /// Children of RPO position `i` are
+    /// `children[child_start[i]..child_start[i + 1]]`, in RPO order.
+    child_start: Vec<u32>,
+    children: Vec<NodeId>,
+    /// Nodes directly below the virtual root, in RPO order.
     roots: Vec<NodeId>,
+    /// The tree in preorder (children visited in RPO order).
+    preorder: Vec<NodeId>,
+    /// Preorder index of each RPO position.
+    pre: Vec<u32>,
+    /// One past the preorder index of the last node in each RPO
+    /// position's subtree.
+    end: Vec<u32>,
 }
 
 impl DomTree {
@@ -27,115 +50,113 @@ impl DomTree {
     /// `set` (only edges with both endpoints in `set` are considered).
     ///
     /// Entry nodes (no predecessor inside `set`) hang off the virtual
-    /// root.
-    pub fn compute<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> Self {
+    /// root. `set` is any duplicate-free collection of live nodes (a
+    /// `&BTreeSet<NodeId>` or a `&[NodeId]`).
+    pub fn compute<'a, G: GraphView>(g: &G, set: impl IntoIterator<Item = &'a NodeId> + Copy) -> Self {
         let order = topo_order_of(g, set); // RPO of a DAG
-        // Dense slot→RPO-position table (usize::MAX = outside `set`).
-        let mut rpo_pos = vec![usize::MAX; g.capacity()];
+        let mut pos = vec![NONE; g.capacity()];
         for (i, &v) in order.iter().enumerate() {
-            rpo_pos[v.index()] = i;
+            pos[v.index()] = i as u32;
         }
-        // Dense arrays over RPO positions; usize::MAX is "virtual root",
-        // usize::MAX-1 is "undefined".
-        const ROOT: usize = usize::MAX;
-        const UNDEF: usize = usize::MAX - 1;
         let n = order.len();
-        let mut idom = vec![UNDEF; n];
+        let mut idom = vec![NONE; n];
 
-        // Raw predecessor slices: duplicate entries (a pred reached
-        // through both a data edge and a keepalive edge) are harmless —
-        // the CHK fixpoint intersects idempotently and converges to the
-        // unique dominator assignment regardless of pred multiplicity
-        // or order.
-        let preds: Vec<Vec<usize>> = order
-            .iter()
-            .map(|&v| {
-                let node = g.node(v);
-                node.inputs()
-                    .iter()
-                    .chain(node.keepalive())
-                    .filter_map(|p| {
-                        let i = rpo_pos[p.index()];
-                        (i != usize::MAX).then_some(i)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let intersect = |idom: &[usize], mut a: usize, mut b: usize| -> usize {
-            loop {
-                if a == b {
-                    return a;
+        // CHK intersection: move the later finger (in RPO) up to its
+        // idom until both meet; reaching the virtual root ends it.
+        let intersect = |idom: &[u32], mut a: u32, mut b: u32| -> u32 {
+            while a != b {
+                if a > b {
+                    a = idom[a as usize];
+                } else {
+                    b = idom[b as usize];
                 }
-                if a == ROOT || b == ROOT {
-                    return ROOT;
-                }
-                while a > b {
-                    a = idom[a];
-                    if a == ROOT {
-                        return ROOT;
-                    }
-                }
-                while b > a {
-                    b = idom[b];
-                    if b == ROOT {
-                        return ROOT;
-                    }
+                if a == NONE || b == NONE {
+                    return NONE;
                 }
             }
+            a
         };
 
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                let mut new_idom = UNDEF;
-                if preds[i].is_empty() {
-                    new_idom = ROOT;
-                } else {
-                    for &p in &preds[i] {
-                        if idom[p] == UNDEF {
-                            continue;
-                        }
-                        new_idom = if new_idom == UNDEF { p } else { intersect(&idom, new_idom, p) };
-                    }
-                    if new_idom == UNDEF {
-                        new_idom = ROOT;
-                    }
-                }
-                if idom[i] != new_idom {
-                    idom[i] = new_idom;
-                    changed = true;
-                }
+        // Every pred precedes its node in a topological order, so its
+        // idom is final when the node is reached: the first CHK pass is
+        // already the fixpoint (a second pass would change nothing).
+        // Entries, with no pred in `set`, hang off the virtual root.
+        // Raw predecessor slices: duplicate entries (a pred reached
+        // through both a data edge and a keepalive edge) are harmless —
+        // the intersection is idempotent and order-independent.
+        for (i, &v) in order.iter().enumerate() {
+            let node = g.node(v);
+            let mut ps =
+                node.inputs().iter().chain(node.keepalive()).map(|p| pos[p.index()]).filter(|&p| p != NONE);
+            if let Some(first) = ps.next() {
+                idom[i] = ps.fold(first, |a, p| intersect(&idom, a, p));
             }
         }
 
-        let mut idom_map = BTreeMap::new();
-        let mut children: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        let mut roots = Vec::new();
-        for (i, &v) in order.iter().enumerate() {
-            children.entry(v).or_default();
-            if idom[i] == ROOT {
-                idom_map.insert(v, None);
-                roots.push(v);
-            } else {
-                let parent = order[idom[i]];
-                idom_map.insert(v, Some(parent));
-                children.entry(parent).or_default().push(v);
+        // Children lists (CSR) and subtree sizes. A node's idom precedes
+        // it in RPO, so one backward pass accumulates sizes bottom-up.
+        let mut child_start = vec![0u32; n + 1];
+        let mut size = vec![1u32; n];
+        for i in (0..n).rev() {
+            if idom[i] != NONE {
+                let p = idom[i] as usize;
+                child_start[p + 1] += 1;
+                size[p] += size[i];
             }
         }
-        DomTree { idom: idom_map, children, roots }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut fill: Vec<u32> = child_start[..n].to_vec();
+        let mut children = vec![NodeId::from_index(0); child_start[n] as usize];
+        let mut roots = Vec::new();
+        // Preorder: walking RPO forward, each node takes the next free
+        // index under its parent (parents are numbered first), so
+        // siblings are laid out in RPO order, each followed by its
+        // whole subtree.
+        let mut pre = vec![0u32; n];
+        let mut next_child_pre = vec![0u32; n];
+        let mut next_root_pre = 0u32;
+        for (i, &v) in order.iter().enumerate() {
+            let slot = if idom[i] == NONE {
+                roots.push(v);
+                &mut next_root_pre
+            } else {
+                let p = idom[i] as usize;
+                children[fill[p] as usize] = v;
+                fill[p] += 1;
+                &mut next_child_pre[p]
+            };
+            pre[i] = *slot;
+            *slot += size[i];
+            next_child_pre[i] = pre[i] + 1;
+        }
+        let mut preorder = vec![NodeId::from_index(0); n];
+        for (i, &v) in order.iter().enumerate() {
+            preorder[pre[i] as usize] = v;
+        }
+        let end = (0..n).map(|i| pre[i] + size[i]).collect();
+        DomTree { pos, idom, child_start, children, roots, preorder, pre, end }
+    }
+
+    /// RPO position of `v`, if it is in the tree.
+    fn position(&self, v: NodeId) -> Option<usize> {
+        self.pos.get(v.index()).filter(|&&i| i != NONE).map(|&i| i as usize)
     }
 
     /// Immediate dominator of `v`; `None` if `v` hangs off the virtual
     /// root (or is not in the tree).
     pub fn idom(&self, v: NodeId) -> Option<NodeId> {
-        self.idom.get(&v).copied().flatten()
+        let p = self.idom[self.position(v)?];
+        (p != NONE).then(|| self.preorder[self.pre[p as usize] as usize])
     }
 
-    /// Children of `v` in the tree (`T.suc(v)`).
+    /// Children of `v` in the tree (`T.suc(v)`), in RPO order.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        self.children.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        match self.position(v) {
+            Some(i) => &self.children[self.child_start[i] as usize..self.child_start[i + 1] as usize],
+            None => &[],
+        }
     }
 
     /// Nodes whose immediate dominator is the virtual root.
@@ -143,22 +164,40 @@ impl DomTree {
         &self.roots
     }
 
-    /// All nodes in the tree.
+    /// All nodes in the tree, in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.idom.keys().copied()
+        (0..self.pos.len()).filter(|&s| self.pos[s] != NONE).map(NodeId::from_index)
+    }
+
+    /// The tree's nodes in preorder: every dominated region is a
+    /// contiguous run of this slice.
+    pub fn preorder(&self) -> &[NodeId] {
+        &self.preorder
+    }
+
+    /// Preorder index of `v` (its position in [`preorder`](Self::preorder)).
+    pub fn preorder_index(&self, v: NodeId) -> Option<usize> {
+        self.position(v).map(|i| self.pre[i] as usize)
+    }
+
+    /// Preorder interval of `v`'s dominated region (`v` first, then its
+    /// strict descendants); empty if `v` is not in the tree.
+    pub fn interval(&self, v: NodeId) -> Range<usize> {
+        match self.position(v) {
+            Some(i) => self.pre[i] as usize..self.end[i] as usize,
+            None => 0..0,
+        }
+    }
+
+    /// The dominated region of `v` in preorder, `v` first.
+    pub fn subtree(&self, v: NodeId) -> &[NodeId] {
+        &self.preorder[self.interval(v)]
     }
 
     /// Strict descendants of `v` in the dominator tree (`T.des(v)`):
     /// every node dominated by `v`, excluding `v` itself.
     pub fn descendants(&self, v: NodeId) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
-        let mut stack: Vec<NodeId> = self.children(v).to_vec();
-        while let Some(u) = stack.pop() {
-            if out.insert(u) {
-                stack.extend_from_slice(self.children(u));
-            }
-        }
-        out
+        self.subtree(v).iter().skip(1).copied().collect()
     }
 
     /// Descendants of `v` including `v` (the full dominated region).
@@ -170,14 +209,11 @@ impl DomTree {
 
     /// Whether `u` dominates `v` (reflexive).
     pub fn dominates(&self, u: NodeId, v: NodeId) -> bool {
-        let mut cur = Some(v);
-        while let Some(c) = cur {
-            if c == u {
-                return true;
-            }
-            cur = self.idom(c);
+        if u == v {
+            return true;
         }
-        false
+        let (Some(iu), Some(pv)) = (self.position(u), self.preorder_index(v)) else { return false };
+        (self.pre[iu] as usize..self.end[iu] as usize).contains(&pv)
     }
 }
 
@@ -250,7 +286,7 @@ mod tests {
         let t = DomTree::compute(&g, &set);
         assert_eq!(t.idom(b), None);
         assert_eq!(t.idom(c), Some(b));
-        assert!(!t.idom.contains_key(&a));
+        assert!(t.nodes().all(|v| v != a));
     }
 
     #[test]

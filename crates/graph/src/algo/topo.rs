@@ -7,7 +7,7 @@
 use crate::graph::NodeId;
 use crate::view::GraphView;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Deterministic topological order of all live nodes (Kahn's algorithm
 /// with a min-id tie-break).
@@ -39,8 +39,13 @@ pub fn topo_order<G: GraphView>(g: &G) -> Vec<NodeId> {
 }
 
 /// Topological order of the sub-graph induced by `set` (edges with both
-/// endpoints in `set`).
-pub fn topo_order_of<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> Vec<NodeId> {
+/// endpoints in `set`). `set` is any duplicate-free collection of live
+/// nodes (a `&BTreeSet<NodeId>` or a `&[NodeId]`); the order does not
+/// depend on how it is iterated.
+pub fn topo_order_of<'a, G: GraphView>(
+    g: &G,
+    set: impl IntoIterator<Item = &'a NodeId> + Copy,
+) -> Vec<NodeId> {
     // Dense membership + in-degree tables keyed by slot, so the edge
     // scans below avoid per-edge set lookups. In-degree is offset by 1
     // to double as the membership flag (0 = outside `set`).
@@ -58,8 +63,8 @@ pub fn topo_order_of<G: GraphView>(g: &G, set: &BTreeSet<NodeId>) -> Vec<NodeId>
             .count();
     }
     let mut heap: BinaryHeap<Reverse<NodeId>> =
-        set.iter().copied().filter(|v| indeg[v.index()] == 1).map(Reverse).collect();
-    let mut order = Vec::with_capacity(set.len());
+        set.into_iter().copied().filter(|v| indeg[v.index()] == 1).map(Reverse).collect();
+    let mut order = Vec::with_capacity(heap.len());
     while let Some(Reverse(v)) = heap.pop() {
         order.push(v);
         for &s in g.node(v).succs() {
@@ -102,6 +107,7 @@ pub fn is_topo_order<G: GraphView>(g: &G, order: &[NodeId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use crate::graph::Graph;
     use crate::op::{BinaryKind, InputKind, OpKind, UnaryKind};
     use crate::tensor::{DType, TensorMeta};

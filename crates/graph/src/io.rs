@@ -149,6 +149,23 @@ const RECORD_HEADER: &str = "magis-graph v1";
 /// this bound over 90x headroom for graphs grown by search rewrites.
 pub const MAX_RECORD_CAP: usize = 1 << 18;
 
+/// Largest tensor a record may declare, in bytes: its element count
+/// times the dtype size, multiplied with overflow checks at decode.
+/// [`Shape::num_elements`] multiplies unchecked on the hot path, so an
+/// unchecked `f32[4294967296x4294967296]` would decode to a 0-byte
+/// tensor and corrupt every memory figure downstream. 1 TiB is far
+/// beyond any device in the registry; the largest tensor of a bench
+/// model at scale 1.0 (GPT-Neo and BTLM, about 1.5 GiB) leaves it over
+/// 600x headroom.
+pub const MAX_TENSOR_BYTES: u64 = 1 << 40;
+
+/// Largest cost-repeat multiplier (`r=`) a record may declare. A
+/// repeat is the product of the part counts of the fissions a node is
+/// nested in, so legitimate values are small (bench models carry 1;
+/// two nested 1024-way splits give 2^20). An unchecked `u64::MAX`
+/// scales a node's latency to about 2·10^14 s.
+pub const MAX_COST_REPEAT: u64 = 1 << 20;
+
 fn join_ids(ids: &[NodeId]) -> String {
     if ids.is_empty() {
         return "-".to_string();
@@ -574,7 +591,9 @@ pub fn record_capacity(text: &str) -> Result<usize, RecordError> {
 /// # Errors
 ///
 /// [`RecordError::Syntax`] on any malformed line, including a `cap`
-/// above [`MAX_RECORD_CAP`] (rejected before anything is allocated);
+/// above [`MAX_RECORD_CAP`] (rejected before anything is allocated), a
+/// tensor above [`MAX_TENSOR_BYTES`] and a cost repeat above
+/// [`MAX_COST_REPEAT`];
 /// [`RecordError::Graph`] if the parsed structure fails
 /// [`Graph::restore`]'s checks.
 pub fn from_record(text: &str) -> Result<Graph, RecordError> {
@@ -614,11 +633,33 @@ pub fn from_record(text: &str) -> Result<Graph, RecordError> {
                 .ok_or_else(|| syntax(ln, format!("bad meta '{}'", f[2])))?;
             TensorMeta::new(parse_shape(&format!("[{shape}"), ln)?, parse_dtype(dt, ln)?)
         };
+        let bytes = meta.shape.dims().iter().try_fold(meta.dtype.size_bytes(), |b, &d| b.checked_mul(d));
+        match bytes {
+            Some(b) if b <= MAX_TENSOR_BYTES => {}
+            Some(b) => {
+                return Err(syntax(
+                    ln,
+                    format!("tensor size {b} bytes of '{}' exceeds the limit of {MAX_TENSOR_BYTES}", f[2]),
+                ))
+            }
+            None => {
+                return Err(syntax(
+                    ln,
+                    format!("tensor size of '{}' overflows 64 bits (limit {MAX_TENSOR_BYTES} bytes)", f[2]),
+                ))
+            }
+        }
         let cost_repeat = f[3]
             .strip_prefix("r=")
             .map(|s| parse_u64(s, ln))
             .transpose()?
             .ok_or_else(|| syntax(ln, format!("bad repeat field '{}'", f[3])))?;
+        if cost_repeat > MAX_COST_REPEAT {
+            return Err(syntax(
+                ln,
+                format!("cost repeat {cost_repeat} exceeds the limit of {MAX_COST_REPEAT}"),
+            ));
+        }
         let alloc_with = match f[4].strip_prefix("aw=") {
             Some("-") => None,
             Some(s) => Some(NodeId::from_index(parse_usize(s, ln)?)),
@@ -780,6 +821,60 @@ mod tests {
                     }
                     other => panic!("cap {cap}: expected a cap-line error, got {other:?}"),
                 }
+            }
+        }
+    }
+
+    /// Replaces the first `from` on the record's matmul line.
+    fn edit_matmul(rec: &str, from: &str, to: &str) -> String {
+        let line = rec.lines().find(|l| l.contains("matmul")).expect("a matmul line");
+        rec.replace(line, &line.replacen(from, to, 1))
+    }
+
+    /// The record of a one-input graph `relu(x)`, `x` of `dtype[shape]`.
+    fn one_input(shape: Vec<u64>, dtype: DType) -> String {
+        let mut b = GraphBuilder::new(dtype);
+        let x = b.input(shape, "x");
+        let _ = b.relu(x);
+        to_record(&b.finish())
+    }
+
+    #[test]
+    fn record_rejects_tensors_above_the_byte_limit() {
+        let limit_elems = MAX_TENSOR_BYTES / 4;
+        let at_limit = one_input(vec![2, limit_elems / 2], DType::F32);
+        from_record(&at_limit).expect("a tensor of exactly the limit decodes");
+        for (shape, dtype, overflow) in [
+            (vec![1 << 32, 1 << 32], DType::F32, true),
+            (vec![limit_elems + 1], DType::F32, false),
+            (vec![MAX_TENSOR_BYTES + 1], DType::Bool, false),
+        ] {
+            let rec = one_input(shape.clone(), dtype);
+            match from_record(&rec) {
+                Err(RecordError::Syntax { line, msg }) => {
+                    assert_eq!(line, 3, "{shape:?}: the input's node line");
+                    assert!(msg.contains("tensor size"), "{shape:?}: {msg}");
+                    assert_eq!(msg.contains("overflows"), overflow, "{shape:?}: {msg}");
+                }
+                other => panic!("{shape:?}: expected a tensor-size error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn record_rejects_a_cost_repeat_above_the_limit() {
+        let rec = to_record(&sample());
+        assert!(rec.contains(" r=1 "));
+        let at_limit = edit_matmul(&rec, " r=1 ", &format!(" r={MAX_COST_REPEAT} "));
+        let g = from_record(&at_limit).expect("a repeat at the limit decodes");
+        assert!(g.node_ids().any(|v| g.node(v).cost_repeat == MAX_COST_REPEAT));
+        for r in [MAX_COST_REPEAT + 1, u64::MAX] {
+            let hostile = edit_matmul(&rec, " r=1 ", &format!(" r={r} "));
+            match from_record(&hostile) {
+                Err(RecordError::Syntax { msg, .. }) => {
+                    assert!(msg.contains("cost repeat"), "r={r}: {msg}")
+                }
+                other => panic!("r={r}: expected a repeat error, got {other:?}"),
             }
         }
     }

@@ -17,6 +17,7 @@
 
 use crate::tensor::{DType, Shape, TensorMeta};
 use std::fmt;
+use std::borrow::Borrow;
 
 /// Role of a graph input node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -855,13 +856,15 @@ impl OpKind {
     /// operator's output dims / reduce axes (the D-Graph edge labels).
     ///
     /// The returned vector has one entry per input; each entry has one
-    /// [`DimLink`] per input dimension.
-    pub fn input_dim_links(
+    /// [`DimLink`] per input dimension. `inputs` may be owned metas or
+    /// references to the producers' metas (no clone needed).
+    pub fn input_dim_links<M: Borrow<TensorMeta>>(
         &self,
-        inputs: &[TensorMeta],
+        inputs: &[M],
         output: &TensorMeta,
     ) -> Vec<Vec<DimLink>> {
         use DimLink::{Reduce, Spatial, Unlinked};
+        let input = |i: usize| -> &TensorMeta { inputs[i].borrow() };
         let ident = |t: &TensorMeta| -> Vec<DimLink> {
             (0..t.shape.rank()).map(Spatial).collect()
         };
@@ -881,7 +884,7 @@ impl OpKind {
                 vec![a, b]
             }
             OpKind::BatchMatMul { transpose_a, transpose_b } => {
-                let r = inputs[0].shape.rank();
+                let r = input(0).shape.rank();
                 let mut a: Vec<DimLink> = (0..r - 2).map(Spatial).collect();
                 let mut b = a.clone();
                 if *transpose_a {
@@ -903,7 +906,7 @@ impl OpKind {
             OpKind::Conv2d(c) => {
                 // Stride-1 convolutions admit halo-overlap splits along
                 // H/W (extension E1); strided ones stay unlinked.
-                let w = &inputs[1].shape;
+                let w = &input(1).shape;
                 let win = |axis: usize, k: u64, stride: u64| {
                     if stride == 1 {
                         DimLink::Windowed { dim: axis, halo: k.saturating_sub(1) }
@@ -922,7 +925,7 @@ impl OpKind {
                 ]
             }
             OpKind::Conv2dGradInput(c) => {
-                let w = &inputs[1].shape;
+                let w = &input(1).shape;
                 let win = |axis: usize, k: u64, stride: u64| {
                     if stride == 1 {
                         DimLink::Windowed { dim: axis, halo: k.saturating_sub(1) }
@@ -966,14 +969,15 @@ impl OpKind {
                 // Integer up/down scaling: contiguous chunks correspond.
                 vec![vec![Spatial(0), Spatial(1), Spatial(2), Spatial(3)]]
             }
-            OpKind::Unary(_) => vec![ident(&inputs[0])],
-            OpKind::UnaryGrad(_) => vec![ident(&inputs[0]), ident(&inputs[1])],
+            OpKind::Unary(_) => vec![ident(input(0))],
+            OpKind::UnaryGrad(_) => vec![ident(input(0)), ident(input(1))],
             OpKind::Binary(_) => {
                 // Right-aligned broadcast: input dim i maps to output dim
                 // i + (out_rank - in_rank) when extents match.
                 let or = output.shape.rank();
                 inputs
                     .iter()
+                    .map(Borrow::borrow)
                     .map(|t| {
                         let ir = t.shape.rank();
                         (0..ir)
@@ -990,7 +994,7 @@ impl OpKind {
                     .collect()
             }
             OpKind::Reduce { axes, keep_dims, .. } => {
-                let x = &inputs[0];
+                let x = input(0);
                 let mut links = Vec::with_capacity(x.shape.rank());
                 let mut out_i = 0usize;
                 let mut red_i = 0usize;
@@ -1009,7 +1013,7 @@ impl OpKind {
                 vec![links]
             }
             OpKind::Broadcast { shape } => {
-                let x = &inputs[0];
+                let x = input(0);
                 let or = shape.rank();
                 let ir = x.shape.rank();
                 vec![(0..ir)
@@ -1019,12 +1023,12 @@ impl OpKind {
                     })
                     .collect()]
             }
-            OpKind::Softmax { .. } | OpKind::LayerNorm { .. } => vec![ident(&inputs[0])],
+            OpKind::Softmax { .. } | OpKind::LayerNorm { .. } => vec![ident(input(0))],
             OpKind::SoftmaxGrad { .. } | OpKind::LayerNormGrad { .. } => {
-                vec![ident(&inputs[0]), ident(&inputs[1])]
+                vec![ident(input(0)), ident(input(1))]
             }
             OpKind::Embedding => {
-                let ids = &inputs[1];
+                let ids = input(1);
                 let c_dim = output.shape.rank() - 1;
                 vec![
                     vec![Unlinked, Spatial(c_dim)],
@@ -1034,13 +1038,13 @@ impl OpKind {
             OpKind::EmbeddingGrad { .. } => {
                 // Scatter-add contracts every leading (position) dim;
                 // distinct reduce axes keep batch/sequence chains apart.
-                let dy = &inputs[1];
+                let dy = input(1);
                 let r = dy.shape.rank();
                 let mut dy_links: Vec<DimLink> =
                     (0..r - 1).map(|i| Reduce(i.min(1))).collect();
                 dy_links.push(Spatial(1));
                 vec![
-                    (0..inputs[0].shape.rank()).map(|i| Reduce(i.min(1))).collect(),
+                    (0..input(0).shape.rank()).map(|i| Reduce(i.min(1))).collect(),
                     dy_links,
                 ]
             }
@@ -1059,31 +1063,33 @@ impl OpKind {
                 vec![links]
             }
             OpKind::Reshape { shape } => {
-                vec![reshape_links(&inputs[0].shape, shape)]
+                vec![reshape_links(&input(0).shape, shape)]
             }
             OpKind::Slice { axis, .. } | OpKind::Pad { axis, .. } => {
-                let x = &inputs[0];
+                let x = input(0);
                 vec![(0..x.shape.rank())
                     .map(|i| if i == *axis { Unlinked } else { Spatial(i) })
                     .collect()]
             }
             OpKind::Concat { axis } => inputs
                 .iter()
-                .map(|t| {
+                .map(Borrow::borrow)
+                .map(|t: &TensorMeta| {
                     (0..t.shape.rank())
                         .map(|i| if i == *axis { Unlinked } else { Spatial(i) })
                         .collect()
                 })
                 .collect(),
             OpKind::PartSlice { axis, .. } => {
-                let x = &inputs[0];
+                let x = input(0);
                 vec![(0..x.shape.rank())
                     .map(|i| if i == *axis { Unlinked } else { Spatial(i) })
                     .collect()]
             }
             OpKind::Merge { axis, kind, .. } => inputs
                 .iter()
-                .map(|t| {
+                .map(Borrow::borrow)
+                .map(|t: &TensorMeta| {
                     (0..t.shape.rank())
                         .map(|i| {
                             if i == *axis && *kind == MergeKind::Concat {
@@ -1095,8 +1101,8 @@ impl OpKind {
                         .collect()
                 })
                 .collect(),
-            OpKind::Store | OpKind::Load => vec![ident(&inputs[0])],
-            OpKind::SgdUpdate => vec![ident(&inputs[0]), ident(&inputs[1])],
+            OpKind::Store | OpKind::Load => vec![ident(input(0))],
+            OpKind::SgdUpdate => vec![ident(input(0)), ident(input(1))],
         }
     }
 

@@ -1080,4 +1080,17 @@ mod tests {
             assert!(cap * 4 <= MAX_RECORD_CAP, "{w:?}: cap {cap}");
         }
     }
+
+    #[test]
+    fn bench_model_records_decode_under_the_tensor_and_repeat_limits_with_headroom() {
+        use magis_graph::io::{from_record, to_record, MAX_COST_REPEAT, MAX_TENSOR_BYTES};
+        use magis_graph::GraphView;
+        for w in Workload::all() {
+            let g = from_record(&to_record(&w.build(1.0).graph)).expect("the record decodes");
+            let bytes = g.node_ids().map(|v| g.node(v).meta.size_bytes()).max().unwrap();
+            let repeat = g.node_ids().map(|v| g.node(v).cost_repeat).max().unwrap();
+            assert!(bytes * 4 <= MAX_TENSOR_BYTES, "{w:?}: largest tensor {bytes} bytes");
+            assert!(repeat * 4 <= MAX_COST_REPEAT, "{w:?}: largest repeat {repeat}");
+        }
+    }
 }

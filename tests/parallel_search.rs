@@ -30,19 +30,27 @@ struct Run {
     expanded: usize,
     candidates: usize,
     filtered: usize,
+    analyses: usize,
+}
+
+impl Run {
+    fn of(res: &magis::core::optimizer::OptimizeResult) -> Run {
+        Run {
+            best: res.best.cost(),
+            history: res.history.iter().map(|p| (p.peak_bytes, p.latency)).collect(),
+            evaluated: res.stats.evaluated,
+            expanded: res.stats.expanded,
+            candidates: res.stats.candidates,
+            filtered: res.stats.filtered,
+            analyses: res.stats.analyses,
+        }
+    }
 }
 
 fn run(tg: &Graph, objective: Objective, threads: usize) -> Run {
     let res = optimize(tg.clone(), &capped(objective, threads));
     assert_eq!(res.stats.threads, threads);
-    Run {
-        best: res.best.cost(),
-        history: res.history.iter().map(|p| (p.peak_bytes, p.latency)).collect(),
-        evaluated: res.stats.evaluated,
-        expanded: res.stats.expanded,
-        candidates: res.stats.candidates,
-        filtered: res.stats.filtered,
-    }
+    Run::of(&res)
 }
 
 fn assert_identical(w: Workload, scale: f64) {
@@ -73,7 +81,9 @@ fn assert_identical(w: Workload, scale: f64) {
         assert_eq!(serial.expanded, parallel.expanded, "{}: expanded", w.label());
         assert_eq!(serial.candidates, parallel.candidates, "{}: candidates", w.label());
         assert_eq!(serial.filtered, parallel.filtered, "{}: filtered", w.label());
+        assert_eq!(serial.analyses, parallel.analyses, "{}: F-Tree analyses", w.label());
         assert!(serial.evaluated > 0, "{}: the capped search did real work", w.label());
+        assert!(serial.analyses >= 1, "{}: the seed is analyzed", w.label());
     }
 }
 
@@ -153,15 +163,7 @@ fn traced_capped(
     ];
     let mut identities: Vec<String> = sink.take().iter().map(TraceEvent::identity).collect();
     identities.sort();
-    let run = Run {
-        best: res.best.cost(),
-        history: res.history.iter().map(|p| (p.peak_bytes, p.latency)).collect(),
-        evaluated: s.evaluated,
-        expanded: s.expanded,
-        candidates: s.candidates,
-        filtered: s.filtered,
-    };
-    (run, counters, identities)
+    (Run::of(&res), counters, identities)
 }
 
 #[test]
@@ -184,6 +186,7 @@ fn eval_cap_inside_the_first_batch_is_thread_count_invariant() {
         assert_eq!(serial.expanded, parallel.expanded, "cap {max_evals}: expanded");
         assert_eq!(serial.candidates, parallel.candidates, "cap {max_evals}: candidates");
         assert_eq!(serial.filtered, parallel.filtered, "cap {max_evals}: filtered");
+        assert_eq!(serial.analyses, parallel.analyses, "cap {max_evals}: F-Tree analyses");
         assert_eq!(serial_counts, parallel_counts, "cap {max_evals}: counters");
         assert!(serial_ids.iter().any(|id| id.starts_with("span:magis_core/candidate_eval[")));
         assert_eq!(serial_ids, parallel_ids, "cap {max_evals}: trace identity multiset");

@@ -208,6 +208,22 @@ fn hostile_requests_get_4xx_and_the_daemon_keeps_serving() {
         }
     }
 
+    // A tensor whose byte size overflows 64 bits passes admission
+    // (its arena is small) but fails the job's decode with an error
+    // naming the tensor size, instead of decoding as a 0-byte tensor.
+    let x_line = record.lines().nth(2).expect("the first node line");
+    let x_meta = x_line.split_whitespace().nth(3).expect("the meta field");
+    let spec = JobSpec {
+        workload: None,
+        graph: Some(record.replacen(x_line, &x_line.replacen(x_meta, "f32[4294967296x4294967296]", 1), 1)),
+        ..unet_spec(20)
+    };
+    let out = c.submit_and_wait(&spec).expect("the oversized-tensor job is admitted");
+    match out.result {
+        Err(error) => assert!(error.contains("tensor size"), "reason names the size: {error}"),
+        Ok(r) => panic!("an overflowing tensor decoded and ran: {r:?}"),
+    }
+
     // The daemon is still alive and completes a well-formed job.
     let mut c = Client::connect(addr).expect("connect after the hostile requests");
     let out = c.submit_and_wait(&unet_spec(20)).expect("submit");
